@@ -26,13 +26,10 @@ const HotPathMarker = "hot:path"
 // hotOpNames are the implicit hot-path root methods on types with a
 // Push+Pop shape (sim.Link, ring.Queue): the steady-state data movement ops
 // whose zero-allocation property PR 5 established at runtime via
-// testing.AllocsPerRun. The block-transport forms move whole contiguous
-// spans per call — they are the batch tick path's data plane, so they are
-// held to the same standard as their scalar counterparts.
+// testing.AllocsPerRun.
 var hotOpNames = map[string]bool{
 	"Push": true, "Pop": true, "Peek": true, "Drop": true, "DropN": true,
 	"PushRef": true, "PushRefDirty": true, "PushEOS": true, "StageVec": true,
-	"PushBlock": true, "PopBlock": true, "PeekBlock": true, "DropBlock": true,
 }
 
 // allocFreePkgs are packages every call into which is accepted: pure
@@ -65,13 +62,6 @@ var knownAllocFree = map[string]bool{
 	"internal/sim.Link.Drained": true, "internal/sim.Link.Name": true,
 	"internal/sim.Link.Capacity": true, "internal/sim.Link.Latency": true,
 	"internal/sim.Link.Pushes": true, "internal/sim.Link.Pops": true,
-	// Block transport: span copies over the fixed ring (at most two copy
-	// calls around the wrap) and aliasing peeks — no growth anywhere.
-	// TickBatch implementations lean on these, plus Visible/Credits for
-	// the batch-budget arithmetic.
-	"internal/sim.Link.PushBlock": true, "internal/sim.Link.PopBlock": true,
-	"internal/sim.Link.PeekBlock": true, "internal/sim.Link.DropBlock": true,
-	"internal/sim.Link.Visible": true, "internal/sim.Link.Credits": true,
 	// sim.Counter handles are pre-resolved pointers (PR 5).
 	"internal/sim.Counter.Add": true, "internal/sim.Counter.Value": true,
 	// record.Vector / record.Rec are fixed-size values. Vector.Records is
@@ -102,7 +92,7 @@ var knownAllocFree = map[string]bool{
 // dispatch is not a blind spot — each concrete Tick/Idle body is walked
 // where it is defined.
 var interfaceContractMethods = map[string]bool{
-	"Tick": true, "TickBatch": true, "Idle": true, "Done": true, "Drained": true, "Empty": true,
+	"Tick": true, "Idle": true, "Done": true, "Drained": true, "Empty": true,
 	"CanPush": true, "WakeHint": true, "Name": true, "SharedState": true,
 	"InputLinks": true, "OutputLinks": true, "WorstCaseInternalLatency": true,
 	"HostsCallbacks": true, "Stats": true,
@@ -209,7 +199,7 @@ func (aw *allocWalker) isRoot(fd *ast.FuncDecl) (bool, string) {
 	if named == nil {
 		return false, ""
 	}
-	if (fd.Name.Name == "Tick" || fd.Name.Name == "TickBatch") && isComponentType(named) {
+	if fd.Name.Name == "Tick" && isComponentType(named) {
 		return true, named.Obj().Name() + "." + fd.Name.Name
 	}
 	if hotOpNames[fd.Name.Name] && hasPushPop(named) {

@@ -30,8 +30,7 @@ var observationMethods = map[string]bool{
 var schedulerSurface = map[string]bool{
 	"Idle": true, "Done": true, "Drained": true, "Empty": true,
 	"CanPush": true, "Stats": true, "Name": true, "Tick": true,
-	"TickBatch": true,
-	"WakeHint":  true, "SharedState": true, "HostsCallbacks": true,
+	"WakeHint": true, "SharedState": true, "HostsCallbacks": true,
 	"InputLinks": true, "OutputLinks": true,
 	"WorstCaseInternalLatency": true,
 }
@@ -225,10 +224,6 @@ func (w *wakepropComp) tickReachable() map[string]bool {
 		})
 	}
 	visit("Tick")
-	// TickBatch is scheduler surface with the same re-arm guarantee as Tick
-	// (the scheduler only offers a batch to an awake component, and ticking
-	// re-arms it), so its helpers are covered by the same argument.
-	visit("TickBatch")
 	return reach
 }
 
@@ -374,9 +369,6 @@ func (w *wakepropComp) checkPath(body ast.Node, recv types.Object, desc string, 
 // announces to the link's endpoints and sharers.
 var linkMutators = map[string]bool{
 	"Push": true, "PushEOS": true, "StageVec": true, "Pop": true, "Drop": true,
-	// Block forms commit (and therefore announce) exactly like their scalar
-	// counterparts — one span, same end-of-cycle wake to both endpoints.
-	"PushBlock": true, "PopBlock": true, "DropBlock": true,
 }
 
 // hasLinkNotification reports whether body performs a mutating operation on

@@ -8,10 +8,10 @@ import (
 	"aurochs/internal/record"
 )
 
-// batchFingerprint captures everything ISSUE's batch contract pins: elapsed
+// fingerprint captures everything a run can observably produce: elapsed
 // cycles, the full stats counter set, DRAM traffic, per-link push/pop
 // totals, and every sink's records bit-for-bit.
-type batchFingerprint struct {
+type fingerprint struct {
 	cycles int64
 	stats  string
 	dram   int64
@@ -19,21 +19,20 @@ type batchFingerprint struct {
 	sinks  [][]record.Rec
 }
 
-// runBlueprint builds a fresh instance and runs it with the given kernel
-// selection, returning the execution fingerprint.
-func runBlueprint(t *testing.T, bp Blueprint, workers int, noBatch bool) batchFingerprint {
+// runBlueprint builds a fresh instance and runs it on the given worker
+// count, returning the execution fingerprint.
+func runBlueprint(t *testing.T, bp Blueprint, workers int) fingerprint {
 	t.Helper()
 	g, err := bp.Build()
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
 	g.Workers = workers
-	g.NoBatch = noBatch
 	cycles, err := g.Run(2_000_000)
 	if err != nil {
-		t.Fatalf("workers=%d noBatch=%v: %v", workers, noBatch, err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	fp := batchFingerprint{cycles: cycles, stats: g.Stats().String()}
+	fp := fingerprint{cycles: cycles, stats: g.Stats().String()}
 	if g.HBM != nil {
 		fp.dram = g.HBM.BytesMoved()
 	}
@@ -48,7 +47,7 @@ func runBlueprint(t *testing.T, bp Blueprint, workers int, noBatch bool) batchFi
 	return fp
 }
 
-func diffFingerprints(t *testing.T, label string, ref, got batchFingerprint) {
+func diffFingerprints(t *testing.T, label string, ref, got fingerprint) {
 	t.Helper()
 	if got.cycles != ref.cycles {
 		t.Errorf("%s: cycles %d != reference %d", label, got.cycles, ref.cycles)
@@ -84,28 +83,18 @@ func diffFingerprints(t *testing.T, label string, ref, got batchFingerprint) {
 	}
 }
 
-// TestBatchScalarEquivalence is the batch-vs-scalar conformance gate: on
-// every registered blueprint, batch execution (TickBatch offers plus the
-// block transport underneath) must be observably identical to the scalar
-// tick path — same cycles, same stats, same DRAM traffic, same per-link
-// flit totals, same sink records — on the serial kernel and at 2, 3, 4,
-// and 8 workers. CI runs this under -race with AUROCHS_WORKERS forcing the
-// parallel kernel, which also makes it a determinism stress for the batch
-// offer sites. A failure means some TickBatch implementation exceeded its
-// scalar Tick's observable effects (see sim/batch.go for the contract).
-func TestBatchScalarEquivalence(t *testing.T) {
+// TestWorkerCountEquivalence is the worker-invariance gate: on every
+// registered blueprint, the parallel kernel at 2, 3, 4 and 8 workers must
+// be observably identical to the serial kernel — same cycles, same stats,
+// same DRAM traffic, same per-link flit totals, same sink records. The
+// reference asks for one worker explicitly, so AUROCHS_WORKERS cannot move
+// it off the serial kernel.
+func TestWorkerCountEquivalence(t *testing.T) {
 	for _, bp := range All() {
-		bp := bp
 		t.Run(bp.Name, func(t *testing.T) {
-			ref := runBlueprint(t, bp, 0, true) // scalar reference, serial kernel
-			diffFingerprints(t, "serial+batch", ref, runBlueprint(t, bp, 0, false))
+			ref := runBlueprint(t, bp, 1)
 			for _, w := range []int{2, 3, 4, 8} {
-				diffFingerprints(t, fmt.Sprintf("workers=%d+batch", w), ref,
-					runBlueprint(t, bp, w, false))
-				// The scalar path must also stay worker-count invariant, so a
-				// batch bug can never hide behind a parallel-kernel bug.
-				diffFingerprints(t, fmt.Sprintf("workers=%d+scalar", w), ref,
-					runBlueprint(t, bp, w, true))
+				diffFingerprints(t, fmt.Sprintf("workers=%d", w), ref, runBlueprint(t, bp, w))
 			}
 		})
 	}

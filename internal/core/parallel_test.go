@@ -11,11 +11,13 @@ import (
 	"aurochs/internal/record"
 )
 
-// kernelRun is one kernel execution: timing plus a functional fingerprint
-// of the output, canonicalized so runs can be compared field-for-field.
+// kernelRun is one kernel execution: timing, the rendered counter set, and
+// a functional fingerprint of the output, canonicalized so runs can be
+// compared field-for-field.
 type kernelRun struct {
 	cycles    int64
 	dramBytes int64
+	stats     string
 	output    []record.Rec
 }
 
@@ -60,6 +62,9 @@ func checkEquivalent(t *testing.T, name string, runs []kernelRun) {
 		if r.dramBytes != ref.dramBytes {
 			t.Errorf("%s workers=%d: DRAM bytes %d != serial %d", name, workerCounts()[i+1], r.dramBytes, ref.dramBytes)
 		}
+		if r.stats != ref.stats {
+			t.Errorf("%s workers=%d: stats diverge\nserial:\n%s\ngot:\n%s", name, workerCounts()[i+1], ref.stats, r.stats)
+		}
 		if len(r.output) != len(ref.output) {
 			t.Errorf("%s workers=%d: %d outputs != serial %d", name, workerCounts()[i+1], len(r.output), len(ref.output))
 			continue
@@ -94,6 +99,7 @@ func TestHashBuildProbeParallelEquivalence(t *testing.T) {
 		runs = append(runs, kernelRun{
 			cycles:    bres.Cycles + pres.Cycles,
 			dramBytes: bres.DRAMBytes + pres.DRAMBytes,
+			stats:     bres.Stats.String() + pres.Stats.String(),
 			output:    canon(matches),
 		})
 	}
@@ -114,7 +120,7 @@ func TestHashJoinFig11aParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs = append(runs, kernelRun{cycles: res.Cycles, dramBytes: res.DRAMBytes, output: canon(matches)})
+		runs = append(runs, kernelRun{cycles: res.Cycles, dramBytes: res.DRAMBytes, stats: res.Stats.String(), output: canon(matches)})
 	}
 	checkEquivalent(t, "hashjoin-11a", runs)
 }
@@ -134,7 +140,7 @@ func TestPartitionParallelEquivalence(t *testing.T) {
 		for part := uint32(0); part < 8; part++ {
 			out = append(out, ps.ReadPartition(part)...)
 		}
-		runs = append(runs, kernelRun{cycles: res.Cycles, dramBytes: res.DRAMBytes, output: canon(out)})
+		runs = append(runs, kernelRun{cycles: res.Cycles, dramBytes: res.DRAMBytes, stats: res.Stats.String(), output: canon(out)})
 	}
 	checkEquivalent(t, "partition", runs)
 }
@@ -156,7 +162,7 @@ func TestHashAggregateParallelEquivalence(t *testing.T) {
 		for k, c := range agg.Groups() { // lint:maprange-ok — canon sorts below
 			out = append(out, record.Make(k, uint32(c)))
 		}
-		runs = append(runs, kernelRun{cycles: res.Cycles, dramBytes: res.DRAMBytes, output: canon(out)})
+		runs = append(runs, kernelRun{cycles: res.Cycles, dramBytes: res.DRAMBytes, stats: res.Stats.String(), output: canon(out)})
 	}
 	checkEquivalent(t, "aggregate", runs)
 }
@@ -181,7 +187,7 @@ func TestBTreeSearchParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs = append(runs, kernelRun{cycles: res.Cycles, dramBytes: res.DRAMBytes, output: canon(hits)})
+		runs = append(runs, kernelRun{cycles: res.Cycles, dramBytes: res.DRAMBytes, stats: res.Stats.String(), output: canon(hits)})
 	}
 	checkEquivalent(t, "btree", runs)
 }
@@ -206,7 +212,7 @@ func TestRTreeWindowParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs = append(runs, kernelRun{cycles: res.Cycles, dramBytes: res.DRAMBytes, output: canon(hits)})
+		runs = append(runs, kernelRun{cycles: res.Cycles, dramBytes: res.DRAMBytes, stats: res.Stats.String(), output: canon(hits)})
 	}
 	checkEquivalent(t, "rtree-window", runs)
 }
@@ -234,7 +240,7 @@ func TestSpatialJoinParallelEquivalence(t *testing.T) {
 		for i, p := range pairs {
 			out[i] = record.Make(p.A, p.B)
 		}
-		runs = append(runs, kernelRun{cycles: res.Cycles, dramBytes: res.DRAMBytes, output: canon(out)})
+		runs = append(runs, kernelRun{cycles: res.Cycles, dramBytes: res.DRAMBytes, stats: res.Stats.String(), output: canon(out)})
 	}
 	checkEquivalent(t, "spatial-join", runs)
 }

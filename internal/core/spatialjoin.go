@@ -55,10 +55,10 @@ func RTreeSpatialJoin(a, b *rtree.Tree, tun Tuning) ([]SpatialJoinPair, Result, 
 	g.Add(fabric.NewSource("sj.in", []record.Rec{root}, ext))
 	g.Add(fabric.NewLoopMerge("sj.entry", recircQ, ext, body, ctl))
 
-	fabric.NewDRAMExpand2(g, "sj.fetch", rtree.NodeWords, rtree.NodeWords,
-		func(r record.Rec) uint32 { return a.NodeAddr(r.Get(sjPtrA)) },
-		func(r record.Rec) uint32 { return b.NodeAddr(r.Get(sjPtrB)) },
-		expandJoinPair, ctl, body, walked)
+	fabric.NewDRAMExpand(g, "sj.fetch", []fabric.Leg{
+		{Width: rtree.NodeWords, Addr: func(r record.Rec) uint32 { return a.NodeAddr(r.Get(sjPtrA)) }},
+		{Width: rtree.NodeWords, Addr: func(r record.Rec) uint32 { return b.NodeAddr(r.Get(sjPtrB)) }},
+	}, expandJoinPair, ctl, body, walked)
 
 	g.Add(fabric.NewFilter("sj.route", func(r *record.Rec) int {
 		if r.Get(sjMark) == 1 {
@@ -124,9 +124,9 @@ func mbr(ents []rtree.Entry) rtree.Rect {
 // expandJoinPair is the synchronized-descent fork: overlapping child pairs
 // become child threads; leaf×leaf overlaps become matches; when only one
 // side is a leaf, the other side descends alone against the leaf's MBR.
-func expandJoinPair(r record.Rec, blockA, blockB []uint32) []record.Rec {
-	leafA, entsA := nodeEnts(blockA)
-	leafB, entsB := nodeEnts(blockB)
+func expandJoinPair(r record.Rec, blocks [][]uint32) []record.Rec {
+	leafA, entsA := nodeEnts(blocks[0])
+	leafB, entsB := nodeEnts(blocks[1])
 	if len(entsA) == 0 || len(entsB) == 0 {
 		return nil
 	}

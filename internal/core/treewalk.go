@@ -90,7 +90,9 @@ func wireTreeWalk(g *fabric.Graph, pf string, threads []record.Rec, nodeWidth in
 
 	g.Add(fabric.NewSource(pf+".in", threads, ext))
 	g.Add(fabric.NewLoopMerge(pf+".entry", recircQ, ext, body, ctl))
-	fabric.NewDRAMExpand(g, pf+".fetch", nodeWidth, addr, expand, ctl, body, walked)
+	fabric.NewDRAMExpand(g, pf+".fetch", []fabric.Leg{{Width: nodeWidth, Addr: addr}},
+		func(r record.Rec, blocks [][]uint32) []record.Rec { return expand(r, blocks[0]) },
+		ctl, body, walked)
 	g.Add(fabric.NewFilter(pf+".route", func(r *record.Rec) int {
 		if r.Get(markField) == 1 {
 			return 0

@@ -8,18 +8,18 @@ import (
 )
 
 // DRAMExpand fuses a wide DRAM block fetch with a fork tile: each thread
-// fetches a node block (too wide to live in the thread record) and spawns
-// zero or more child threads from it. This is the tree-walk primitive of
-// figs. 6b and 9: B-tree descent, R-tree window queries, and spatial joins
-// all fetch a block of children and insert the matching ones into the
-// pipeline as new threads. The block size hides DRAM latency and keeps the
-// pipeline full.
+// fetches node blocks (too wide to live in the thread record) and spawns
+// zero or more child threads from them. This is the tree-walk primitive of
+// figs. 6b and 9: B-tree descent and R-tree window queries fetch one block
+// per thread, and a spatial join between two R-trees (fig. 9b) fetches a
+// *pair* — one node from each tree — and forks a child per overlapping
+// child pair. The matching children enter the pipeline as new threads.
+// The block size hides DRAM latency and keeps the pipeline full.
 type DRAMExpand struct {
 	name   string
 	h      *dram.HBM
-	width  int
-	addrFn func(record.Rec) uint32
-	expand func(record.Rec, []uint32) []record.Rec
+	legs   []Leg
+	expand func(record.Rec, [][]uint32) []record.Rec
 	ctl    *LoopCtl
 	in     *sim.Link
 	out    *sim.Link
@@ -31,22 +31,42 @@ type DRAMExpand struct {
 	ready          ring.Queue[record.Rec]
 	eosIn          bool
 	eos            bool
+	one            [1][]uint32 // reused block list: a single-leg completion allocates only its closure
 
 	stallCnt, fetchCnt *sim.Counter
 }
 
-// NewDRAMExpand builds the node. width is the block size in words; expand
-// receives the thread and the fetched block and returns the child threads
-// (an empty slice kills the parent). ctl must be the enclosing loop's
-// control when the node sits inside a cyclic pipeline.
-func NewDRAMExpand(g *Graph, name string, width int, addrFn func(record.Rec) uint32,
-	expand func(record.Rec, []uint32) []record.Rec, ctl *LoopCtl, in, out *sim.Link) *DRAMExpand {
+// Leg is one block a DRAMExpand thread fetches: Width words at Addr(r).
+type Leg struct {
+	Width int
+	Addr  func(record.Rec) uint32
+}
+
+// expandFetch joins the legs of one multi-block fetch: expansion runs
+// once every block has arrived.
+type expandFetch struct {
+	r       record.Rec
+	blocks  [][]uint32
+	arrived int
+}
+
+// maxExpandBlocks bounds the blocks a DRAMExpand keeps in flight; a node
+// fetching k blocks per thread admits maxExpandBlocks/k threads.
+const maxExpandBlocks = 64
+
+// NewDRAMExpand builds the node. Each thread fetches one block per leg;
+// expand receives the thread and the fetched blocks, in leg order, and
+// returns the child threads (an empty slice kills the parent). The blocks
+// are valid only for the duration of the call. ctl must be the enclosing
+// loop's control when the node sits inside a cyclic pipeline.
+func NewDRAMExpand(g *Graph, name string, legs []Leg,
+	expand func(r record.Rec, blocks [][]uint32) []record.Rec, ctl *LoopCtl, in, out *sim.Link) *DRAMExpand {
 	if g.HBM == nil {
 		g.defectf(DiagNoHBM, "node %q accesses DRAM but the graph has no HBM attached (call AttachHBM first)", name)
 	}
 	n := &DRAMExpand{
-		name: name, h: g.HBM, width: width, addrFn: addrFn, expand: expand,
-		ctl: ctl, in: in, out: out, stat: g.Stats(), maxOutstanding: 64,
+		name: name, h: g.HBM, legs: legs, expand: expand,
+		ctl: ctl, in: in, out: out, stat: g.Stats(), maxOutstanding: maxExpandBlocks / len(legs),
 	}
 	n.stallCnt = n.stat.Counter(name + ".dram_stall")
 	n.fetchCnt = n.stat.Counter(name + ".fetches")
@@ -107,27 +127,32 @@ func (d *DRAMExpand) Tick(cycle int64) {
 			d.ready.Drop()
 		}
 	}
-	// Submit fetches.
+	// Submit fetches, one request per leg.
 	for d.backlog.Len() > 0 && d.outstanding < d.maxOutstanding && d.ready.Len() < 8*record.NumLanes {
 		r := *d.backlog.Front()
-		ok := d.h.SubmitAt(cycle, dram.Request{
-			Addr: d.addrFn(r), Words: d.width,
-			// One completion closure per fetch, amortized over the DRAM
-			// round trip.
-			Done: func(data []uint32) { // lint:hotalloc-ok per-request closure, amortized over the DRAM round trip
-				d.outstanding--
-				children := d.expand(r, data)
-				if d.ctl != nil {
-					d.ctl.Spawn(len(children) - 1)
-				}
-				for _, c := range children {
-					*d.ready.PushRefDirty() = c
-				}
-			},
-		})
-		if !ok {
+		var f *expandFetch
+		if len(d.legs) > 1 {
+			f = &expandFetch{r: r, blocks: make([][]uint32, len(d.legs))} // lint:hotalloc-ok per-thread join state, amortized over the DRAM round trip
+		}
+		sent := 0
+		for j, leg := range d.legs {
+			if !d.h.SubmitAt(cycle, dram.Request{Addr: leg.Addr(r), Words: leg.Width, Done: d.completer(r, f, j)}) {
+				break
+			}
+			sent++
+		}
+		if sent == 0 {
 			d.stallCnt.Add(1)
 			break
+		}
+		if sent < len(d.legs) {
+			// The first leg is in flight (so these arrivals cannot complete
+			// the thread); absorb the refused rest functionally, charging
+			// one stall.
+			d.stallCnt.Add(1)
+			for m := sent; m < len(d.legs); m++ {
+				f.arrive(m, d.h.SnapshotWords(d.legs[m].Addr(r), d.legs[m].Width))
+			}
 		}
 		d.outstanding++
 		d.backlog.Drop()
@@ -151,5 +176,43 @@ func (d *DRAMExpand) Tick(cycle int64) {
 	if d.eosIn && !d.eos && d.backlog.Len() == 0 && d.outstanding == 0 && d.ready.Len() == 0 && d.out.CanPush() {
 		d.out.PushEOS(cycle)
 		d.eos = true
+	}
+}
+
+// completer returns the completion callback of leg j of thread r's fetch,
+// one closure per block, amortized over the DRAM round trip. A single-leg
+// fetch (f == nil) needs no join state.
+func (d *DRAMExpand) completer(r record.Rec, f *expandFetch, j int) func([]uint32) {
+	if f == nil {
+		return func(data []uint32) { // lint:hotalloc-ok per-request closure, amortized over the DRAM round trip
+			d.one[0] = data
+			d.complete(r, d.one[:])
+		}
+	}
+	return func(data []uint32) { // lint:hotalloc-ok per-request closure, amortized over the DRAM round trip
+		if f.arrive(j, data) {
+			d.complete(f.r, f.blocks)
+		}
+	}
+}
+
+// arrive records block j and reports whether every block is now in.
+func (f *expandFetch) arrive(j int, data []uint32) bool {
+	f.blocks[j] = data
+	f.arrived++
+	return f.arrived == len(f.blocks)
+}
+
+// complete expands a thread whose blocks have all arrived. It runs inside
+// the HBM's tick (a completion callback), and DRAMExpand declares that HBM
+// via SharedState, so the partner-tick wake re-examines this node's Idle.
+func (d *DRAMExpand) complete(r record.Rec, blocks [][]uint32) {
+	d.outstanding-- // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
+	children := d.expand(r, blocks)
+	if d.ctl != nil {
+		d.ctl.Spawn(len(children) - 1)
+	}
+	for _, c := range children {
+		*d.ready.PushRefDirty() = c // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
 	}
 }

@@ -90,12 +90,6 @@ func (g *Graph) FlowNet() *flow.Net {
 			nd.Ctl = ctlID(v.ctl)
 			nd.CanKill = v.ctl != nil
 			nd.Resident = v.maxOutstanding + 4*record.NumLanes
-		case *DRAMExpand2:
-			nd.Kind = flow.ForkKind
-			nd.Amplify = true
-			nd.Ctl = ctlID(v.ctl)
-			nd.CanKill = v.ctl != nil
-			nd.Resident = v.maxOutstanding + 4*record.NumLanes
 		case *DRAMNode:
 			nd.Kind = flow.Transform
 			nd.Lossy = v.spec.Lossy

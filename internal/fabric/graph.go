@@ -51,11 +51,6 @@ type Graph struct {
 	// thread core.Tuning.Parallelism into this field.
 	Workers int
 
-	// NoBatch forces the scalar tick path (sim.RunOptions.NoBatch); the
-	// batch-vs-scalar conformance suite runs each blueprint once with this
-	// set to obtain the reference execution.
-	NoBatch bool
-
 	hbmTicker *hbmComponent
 	// defects collects construction-time wiring errors (e.g. a DRAM node
 	// on a graph with no HBM attached) for Check to report alongside the
@@ -123,7 +118,7 @@ func (g *Graph) Run(maxCycles int64) (int64, error) {
 	if err := g.Check(); err != nil {
 		return 0, err
 	}
-	return g.Sys.RunWith(maxCycles, sim.RunOptions{Workers: g.Workers, NoBatch: g.NoBatch})
+	return g.Sys.RunWith(maxCycles, sim.RunOptions{Workers: g.Workers})
 }
 
 // defectf records a construction-time wiring error for Check.

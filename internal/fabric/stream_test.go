@@ -206,10 +206,9 @@ func TestDRAMExpandSpawnsChildren(t *testing.T) {
 		recs[i] = record.Make(uint32(i))
 	}
 	g.Add(NewSource("src", recs, in))
-	NewDRAMExpand(g, "exp", 1,
-		func(r record.Rec) uint32 { return r.Get(0) },
-		func(r record.Rec, data []uint32) []record.Rec {
-			out := make([]record.Rec, data[0])
+	NewDRAMExpand(g, "exp", []Leg{{Width: 1, Addr: func(r record.Rec) uint32 { return r.Get(0) }}},
+		func(r record.Rec, blocks [][]uint32) []record.Rec {
+			out := make([]record.Rec, blocks[0][0])
 			for i := range out {
 				out[i] = r.Append(uint32(i))
 			}

@@ -33,12 +33,9 @@ type Flit struct {
 // never exceed capacity — so one ring holds both segments (visible entries
 // first, in-flight entries behind them) and commit "moves" an arrival by
 // advancing a boundary counter instead of copying the ~840-byte flit
-// between slices. The split layout is what makes the block operations
-// (PeekBlock/PopBlock/PushBlock) and commit's arrival scan cache-friendly:
-// maturity stamps live in a dense int64 array the promote loop walks
-// without striding over flit payloads, and a block of flits is a
-// contiguous span (at most two, around the wrap) handed to the caller in
-// one step with counters updated once per block rather than once per flit.
+// between slices. The split layout keeps commit's arrival scan
+// cache-friendly: maturity stamps live in a dense int64 array the promote
+// loop walks without striding over flit payloads.
 type Link struct {
 	name    string
 	cap     int
@@ -72,12 +69,11 @@ type Link struct {
 	poppedNow bool
 
 	// Scheduler bookkeeping (see wake.go). id is the index in System.links
-	// (-1 for links built outside a System); wasDrained/wasFly cache the
-	// drain/in-flight state as of the last commit so the runner maintains
-	// its O(1) termination and fast-forward counters incrementally.
+	// (-1 for links built outside a System); wasDrained caches the drain
+	// state as of the last commit so the runner maintains its O(1)
+	// termination counter incrementally.
 	id         int
 	wasDrained bool // phase:commit — cached drain state, updated only by commitLinks
-	wasFly     bool // phase:commit — cached in-flight state, updated only by commitLinks
 
 	// sched, when non-nil, receives a markLink on every mutation so the
 	// serial kernel commits only dirty links instead of sweeping the census.
@@ -122,11 +118,6 @@ func (l *Link) Latency() int { return l.latency }
 func (l *Link) CanPush() bool {
 	return l.credits > 0
 }
-
-// Credits returns the number of pushes the producer may still perform this
-// cycle — the block-transport counterpart of CanPush, letting a batched
-// producer size one PushBlock instead of polling CanPush per flit.
-func (l *Link) Credits() int { return l.credits }
 
 // stage claims the next free ring slot for a push at cycle, consuming one
 // credit and stamping the arrival time. Occupancy (nVis+nFly) can never
@@ -175,54 +166,8 @@ func (l *Link) PushEOS(cycle int64) {
 	f.Vec.Reset()
 }
 
-// PushBlock stages up to len(fs) flits in one call, bounded by the credits
-// in hand, and returns how many it took. The span is copied into the ring
-// with at most two copy calls (one per side of the wrap); credits, the
-// occupancy counters, and the push statistics are updated once for the
-// whole block, and every flit in the block shares one arrival stamp —
-// exactly what per-flit Push calls in the same cycle would have produced.
-func (l *Link) PushBlock(cycle int64, fs []Flit) int {
-	n := len(fs)
-	if n > l.credits {
-		n = l.credits
-	}
-	if n == 0 {
-		return 0
-	}
-	l.touch()
-	at := cycle + int64(l.latency)
-	first := len(l.buf) - l.tail
-	if first > n {
-		first = n
-	}
-	copy(l.buf[l.tail:], fs[:first])
-	for i := l.tail; i < l.tail+first; i++ {
-		l.ready[i] = at
-	}
-	if rest := n - first; rest > 0 {
-		copy(l.buf, fs[first:n])
-		for i := 0; i < rest; i++ {
-			l.ready[i] = at
-		}
-	}
-	l.tail += n
-	if l.tail >= len(l.buf) {
-		l.tail -= len(l.buf)
-	}
-	l.credits -= n
-	l.nFly += n
-	l.pushes += int64(n)
-	l.pushedNow = true
-	return n
-}
-
 // Empty reports whether the consumer has nothing to pop this cycle.
 func (l *Link) Empty() bool { return l.nVis == 0 }
-
-// Visible returns the number of flits the consumer may pop this cycle —
-// the block-transport counterpart of Empty, letting a batched consumer
-// size one PeekBlock/DropBlock round instead of polling Empty per flit.
-func (l *Link) Visible() int { return l.nVis }
 
 // Peek returns the head flit without consuming it. The pointer's contents
 // stay stable until the end-of-cycle commit, even across a Pop/Drop in the
@@ -236,20 +181,6 @@ func (l *Link) Peek() *Flit {
 		panic("sim: peek on empty link " + l.name)
 	}
 	return &l.buf[l.head]
-}
-
-// PeekBlock returns the longest contiguous span of visible flits starting
-// at the head — the whole visible run when it does not wrap, the head-side
-// piece when it does (a second call after DropBlock(len(span)) yields the
-// rest). The span aliases the ring with the same stability guarantee as
-// Peek: its contents survive until the end-of-cycle commit, even across
-// same-tick drops. An empty link yields an empty span.
-func (l *Link) PeekBlock() []Flit {
-	n := l.nVis
-	if max := len(l.buf) - l.head; n > max {
-		n = max
-	}
-	return l.buf[l.head : l.head+n]
 }
 
 // Pop consumes and returns the head flit. Panics if empty. Consumers on the
@@ -277,49 +208,6 @@ func (l *Link) Drop() {
 	l.poppedNow = true
 }
 
-// DropBlock consumes n visible flits with one counter update — the block
-// form of Drop, paired with PeekBlock. Panics if fewer than n are visible.
-func (l *Link) DropBlock(n int) {
-	if n == 0 {
-		return
-	}
-	if n < 0 || n > l.nVis {
-		panic("sim: block pop beyond visible run on link " + l.name)
-	}
-	l.touch()
-	l.head += n
-	if l.head >= len(l.buf) {
-		l.head -= len(l.buf)
-	}
-	l.nVis -= n
-	l.pops += int64(n)
-	l.poppedNow = true
-}
-
-// PopBlock copies up to len(dst) visible flits out of the ring — at most
-// two copy calls around the wrap — consumes them, and returns the count.
-// Counters update once per block. Consumers that can work in place should
-// prefer PeekBlock/DropBlock, which skip the copy entirely.
-func (l *Link) PopBlock(dst []Flit) int {
-	n := len(dst)
-	if n > l.nVis {
-		n = l.nVis
-	}
-	if n == 0 {
-		return 0
-	}
-	first := len(l.buf) - l.head
-	if first > n {
-		first = n
-	}
-	copy(dst[:first], l.buf[l.head:l.head+first]) // lint:phaseconf-ok dst is the consuming component's own staging storage; the consumer side of a link is owned by the claiming worker until commit
-	if rest := n - first; rest > 0 {
-		copy(dst[first:n], l.buf[:rest]) // lint:phaseconf-ok dst is the consuming component's own staging storage; the consumer side of a link is owned by the claiming worker until commit
-	}
-	l.DropBlock(n)
-	return n
-}
-
 // Drained reports whether no flits remain anywhere in the link.
 func (l *Link) Drained() bool { return l.nVis == 0 && l.nFly == 0 }
 
@@ -332,19 +220,6 @@ func (l *Link) Pops() int64 { return l.pops }
 // pending reports whether commit has any work this cycle: per-cycle
 // activity to collect or in-flight entries that may arrive.
 func (l *Link) pending() bool { return l.pushedNow || l.poppedNow || l.nFly > 0 }
-
-// nextArrival returns the maturity stamp of the oldest in-flight flit.
-// Stamps are nondecreasing along the ring (pushes happen at nondecreasing
-// cycles with a constant latency), so the oldest in-flight entry is the
-// next to arrive. Callers guarantee nFly > 0. phase:commit — read by the
-// runner's fast-forward between cycles, never during ticks.
-func (l *Link) nextArrival() int64 {
-	i := l.head + l.nVis
-	if i >= len(l.buf) {
-		i -= len(l.buf)
-	}
-	return l.ready[i]
-}
 
 // commit ends the link's cycle: arrived in-flight flits join the visible
 // run (a boundary advance over the dense ready array, not a copy — whole

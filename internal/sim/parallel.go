@@ -159,18 +159,7 @@ func (p *workerPool) runShard(shard []int, cycle int64, ob *workerOutbox) {
 			}
 			continue
 		}
-		if bt := sc.batchers[i]; bt != nil && !sc.noBatch {
-			// Same offer as the serial drain: batchBudget reads only fields
-			// owned by component i's side of its links, so pricing it here
-			// does not race other workers.
-			if n := sc.batchBudget(i); n >= BatchMinFlits {
-				bt.TickBatch(cycle, n)
-			} else {
-				s.comps[i].Tick(cycle)
-			}
-		} else {
-			s.comps[i].Tick(cycle)
-		}
+		s.comps[i].Tick(cycle)
 		dw := &sc.doneBits[i>>6]
 		if d := s.comps[i].Done(); d != (atomic.LoadUint64(dw)&mask != 0) {
 			if d {

@@ -194,12 +194,6 @@ type RunOptions struct {
 	// either way for components honouring the Idler contract; the knob
 	// exists for A/B validation and debugging.
 	NoIdleSkip bool
-	// NoBatch disables TickBatch offers: every component ticks through the
-	// scalar path even when it implements BatchTicker and the budget clears
-	// BatchMinFlits. Results are identical either way for components
-	// honouring the BatchTicker contract (see batch.go); the knob supplies
-	// the reference side of the batch-vs-scalar conformance suite.
-	NoBatch bool
 }
 
 // envWorkers reads the AUROCHS_WORKERS environment override. It applies
@@ -233,10 +227,8 @@ func (s *System) RunParallel(maxCycles int64, workers int) (int64, error) {
 
 // RunWith is Run with an explicit kernel selection. Both kernels are
 // event-driven (see wake.go): a cycle examines only the components in the
-// wake set, and fully quiescent stretches fast-forward to the next timer.
-// The fast-forward advances the clock and the no-progress counter by
-// exactly the cycles it skips, so deadlock and budget errors carry the
-// same cycle numbers the polling kernel reported.
+// wake set, so a quiescent cycle costs one empty step, and deadlock and
+// budget errors carry the same cycle numbers the polling kernel reported.
 func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 	requested := opt.Workers
 	if requested == 0 {
@@ -260,7 +252,6 @@ func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 	grace := s.graceWindow()
 	sched := newScheduler(s)
 	sched.noSkip = opt.NoIdleSkip
-	sched.noBatch = opt.NoBatch
 	var pool *workerPool
 	if workers > 1 {
 		pool = newWorkerPool(s, sched, plan, workers, opt.NoIdleSkip)
@@ -291,52 +282,6 @@ func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 			return s.cycle - start, nil
 		}
 		sched.beginCycle(s.cycle)
-		if !opt.NoIdleSkip && !sched.awake.any() {
-			// Steady-state fast-forward. With no component scheduled this
-			// cycle, the only possible activity is link commits maturing
-			// in-flight flits. Two cases:
-			//
-			//   - Fully quiescent (no in-flight flits either): every cycle
-			//     until the next timer is identical — no ticks, no commits,
-			//     no progress. Jump to the timer.
-			//   - In-flight only: commits before the earliest arrival's
-			//     maturation promote nothing, return no credits, and wake
-			//     nobody — provable no-ops, because arrival stamps are the
-			//     only time-dependent input to commit and they are
-			//     nondecreasing per link. Jump to one cycle before the
-			//     earliest arrival (that cycle's commit performs the
-			//     promotion), bounded by the next timer.
-			//
-			// Either jump is bounded by the deadlock and budget horizons and
-			// charges the skipped cycles to the no-progress counter, so the
-			// detector's arithmetic matches a cycle-by-cycle run exactly.
-			jump := int64(0)
-			if sched.quiescent() {
-				jump = grace - idle + 1
-				if nt := sched.wheel.next(s.cycle); nt != WakeNever && nt-s.cycle < jump {
-					jump = nt - s.cycle
-				}
-			} else if na := sched.nextArrival(); na-1 > s.cycle {
-				jump = na - 1 - s.cycle
-				if nt := sched.wheel.next(s.cycle); nt != WakeNever && nt-s.cycle < jump {
-					jump = nt - s.cycle
-				}
-			}
-			if d := grace - idle + 1; d < jump {
-				jump = d
-			}
-			if left := maxCycles - (s.cycle - start); left < jump {
-				jump = left
-			}
-			if jump > 0 {
-				s.cycle += jump
-				idle += jump
-				if idle > grace {
-					return s.cycle - start, &DeadlockError{Cycle: s.cycle, Stuck: s.stuckNames()}
-				}
-				continue
-			}
-		}
 		var moved bool
 		if pool != nil {
 			moved = sched.stepParallel(s.cycle, pool)

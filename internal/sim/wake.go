@@ -11,8 +11,8 @@ import (
 // sparsely active fabrics (most tiles stalled on credits or DRAM most
 // cycles, paper §IV) that sweep dominates wall-clock time. The wake
 // scheduler inverts it: a component sleeps until an *event* could have
-// changed its answer, so a cycle costs O(active components), and stretches
-// where nothing is scheduled at all fast-forward to the next timer.
+// changed its answer, so a cycle costs O(active components), and a cycle
+// with nothing scheduled costs one empty step.
 //
 // Sleeping is sound only if every way an Idle answer can flip maps to a
 // wake. With the kernel's timing discipline there are exactly three:
@@ -103,15 +103,6 @@ func (b bitset) orInto(dst bitset) {
 	}
 }
 
-func (b bitset) any() bool {
-	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // timerEnt is one scheduled wake: component index and due cycle.
 type timerEnt struct {
 	comp int32
@@ -157,8 +148,8 @@ func (w *timerWheel) schedule(now int64, comp int32, at int64) {
 }
 
 // expireInto wakes everything due at exactly `cycle` into dst. The runner
-// visits cycles in nondecreasing order and never jumps past a scheduled
-// timer, so entries left in the bucket are due a later lap.
+// steps every cycle in order, so entries left in the bucket are due a
+// later lap.
 func (w *timerWheel) expireInto(cycle int64, dst bitset) {
 	if w.count == 0 {
 		return
@@ -201,32 +192,13 @@ func (w *timerWheel) refill(cycle int64) {
 	w.far = kept
 }
 
-// next returns the earliest scheduled wake at or after cycle, or WakeNever.
-// Called only when the whole system is asleep, so an O(entries) sweep is
-// fine — and deterministic.
-func (w *timerWheel) next(cycle int64) int64 {
-	if w.count == 0 {
-		return WakeNever
-	}
-	min := w.farMin
-	for _, bucket := range w.slots {
-		for _, e := range bucket {
-			if e.at >= cycle && e.at < min {
-				min = e.at
-			}
-		}
-	}
-	return min
-}
-
 // scheduler is the per-run wake state. It is rebuilt by each RunWith (and
 // by the conformance harnesses), so components and links registered between
 // runs are picked up.
 type scheduler struct {
-	sys      *System
-	n        int
-	hinters  []WakeHinter  // parallel to comps; nil where not implemented
-	batchers []BatchTicker // parallel to comps; nil where not implemented
+	sys     *System
+	n       int
+	hinters []WakeHinter // parallel to comps; nil where not implemented
 
 	awake bitset // components to examine this cycle
 	next  bitset // accumulated wakes for the following cycle
@@ -248,18 +220,11 @@ type scheduler struct {
 	wakeAhead  []bitset
 	wakeBehind []bitset
 
-	// inLinks/outLinks give each component's consumed/produced link ids, in
-	// port-declaration order — the occupancy/credit view batchBudget prices
-	// a TickBatch offer from.
-	inLinks  [][]int32
-	outLinks [][]int32
-
 	// Dirty-link commit tracking (serial kernel only). When trackDirty is
-	// set, every link mutation (stage/Drop and their block forms) reports
-	// the link via markLink, and the commit phase visits exactly the links
-	// with pending work — the marked ones plus flyIDs, the links carrying
-	// in-flight flits as of the last commit — instead of sweeping the whole
-	// census. The parallel kernel keeps the sweep: its workers mutate links
+	// set, every link mutation (stage/Drop) reports the link via markLink,
+	// and the commit phase visits exactly the links with pending work — the
+	// marked ones plus flyIDs, the links carrying in-flight flits as of the
+	// last commit — instead of sweeping the whole census. The parallel kernel keeps the sweep: its workers mutate links
 	// concurrently, and a shared dirty list would reintroduce the very
 	// cross-worker traffic the owner-split link fields avoid.
 	trackDirty bool
@@ -270,23 +235,16 @@ type scheduler struct {
 
 	wheel *timerWheel
 
-	// O(1) termination/fast-forward bookkeeping, maintained incrementally:
-	// Done can flip only in a Tick (the Idle contract), link drain state
-	// only at a commit.
+	// O(1) termination bookkeeping, maintained incrementally: Done can flip
+	// only in a Tick (the Idle contract), link drain state only at a commit.
 	doneBits  bitset
 	notDone   int // phase:commit — census delta applied only after the barrier
 	undrained int // phase:commit — maintained by commitLinks alone
-	flyLinks  int // phase:commit — links holding in-flight flits (commit work pending)
 
 	// noSkip mirrors RunOptions.NoIdleSkip: never consult Idle, tick every
 	// awake component. Ticking re-arms, so after the all-set first cycle
 	// every component stays awake — the pre-quiescence behavior.
 	noSkip bool
-
-	// noBatch mirrors RunOptions.NoBatch: never offer TickBatch, drive every
-	// component through scalar Tick. The reference side of the batch-vs-scalar
-	// conformance suite runs with this set.
-	noBatch bool
 }
 
 func newScheduler(s *System) *scheduler {
@@ -295,7 +253,6 @@ func newScheduler(s *System) *scheduler {
 		sys:      s,
 		n:        n,
 		hinters:  make([]WakeHinter, n),
-		batchers: make([]BatchTicker, n),
 		awake:    newBitset(n),
 		next:     newBitset(n),
 		poll:     newBitset(n),
@@ -305,8 +262,6 @@ func newScheduler(s *System) *scheduler {
 	for i, c := range s.comps {
 		h, _ := c.(WakeHinter)
 		sc.hinters[i] = h
-		bt, _ := c.(BatchTicker)
-		sc.batchers[i] = bt
 		if s.idlers[i] == nil || h == nil {
 			sc.poll.set(i)
 		}
@@ -326,12 +281,10 @@ func newScheduler(s *System) *scheduler {
 	sc.flyScratch = make([]int32, 0, len(s.links))
 	for _, l := range s.links {
 		l.wasDrained = l.Drained()
-		l.wasFly = l.nFly > 0
 		if !l.wasDrained {
 			sc.undrained++
 		}
-		if l.wasFly {
-			sc.flyLinks++
+		if l.nFly > 0 {
 			sc.flyIDs = append(sc.flyIDs, int32(l.id))
 		}
 	}
@@ -354,23 +307,15 @@ func (sc *scheduler) buildPartnerTables() {
 	for id, l := range s.links {
 		l.id = id
 	}
-	sc.inLinks = make([][]int32, sc.n)
-	sc.outLinks = make([][]int32, sc.n)
 	for i, c := range s.comps {
 		if op, ok := c.(OutputPorts); ok {
 			for _, l := range op.OutputLinks() {
 				addLink(l, i)
-				if l != nil && l.id >= 0 {
-					sc.outLinks[i] = append(sc.outLinks[i], int32(l.id))
-				}
 			}
 		}
 		if ip, ok := c.(InputPorts); ok {
 			for _, l := range ip.InputLinks() {
 				addLink(l, i)
-				if l != nil && l.id >= 0 {
-					sc.inLinks[i] = append(sc.inLinks[i], int32(l.id))
-				}
 			}
 		}
 	}
@@ -457,9 +402,9 @@ func (sc *scheduler) buildPartnerTables() {
 }
 
 // markLink records link activity for the serial kernel's dirty-list commit.
-// Called from the link mutators (stage/Drop and the block forms) via the
-// link's sched pointer, which RunWith wires only for serial runs — the
-// parallel kernel's workers would race on the shared list, so it sweeps.
+// Called from the link mutators (stage/Drop) via the link's sched pointer,
+// which RunWith wires only for serial runs — the parallel kernel's workers
+// would race on the shared list, so it sweeps.
 func (sc *scheduler) markLink(l *Link) {
 	id := l.id
 	if id < 0 || sc.dirtySet.get(id) {
@@ -572,15 +517,7 @@ func (sc *scheduler) stepSerial(cycle int64) bool {
 				}
 				continue
 			}
-			if bt := sc.batchers[i]; bt != nil && !sc.noBatch {
-				if n := sc.batchBudget(i); n >= BatchMinFlits {
-					bt.TickBatch(cycle, n)
-				} else {
-					s.comps[i].Tick(cycle)
-				}
-			} else {
-				s.comps[i].Tick(cycle)
-			}
+			s.comps[i].Tick(cycle)
 			sc.markTicked(i)
 			sc.wakePartners(i)
 			sc.next.set(i) // may have more work; it will re-idle otherwise
@@ -593,9 +530,9 @@ func (sc *scheduler) stepSerial(cycle int64) bool {
 }
 
 // commitOne ends one link's cycle and applies the wake consequences and
-// the incremental termination/fast-forward bookkeeping. It also rebuilds
-// the in-flight list for the next cycle. phase:commit — serial in both
-// kernels (the parallel kernel barriers first), so plain state suffices.
+// the incremental termination bookkeeping. It also rebuilds the in-flight
+// list for the next cycle. phase:commit — serial in both kernels (the
+// parallel kernel barriers first), so plain state suffices.
 func (sc *scheduler) commitOne(id int, l *Link, cycle int64) (progress bool) {
 	progress, wake := l.commit(cycle)
 	if wake {
@@ -609,14 +546,6 @@ func (sc *scheduler) commitOne(id int, l *Link, cycle int64) (progress bool) {
 			sc.undrained--
 		} else {
 			sc.undrained++
-		}
-	}
-	if fly := l.nFly > 0; fly != l.wasFly {
-		l.wasFly = fly
-		if fly {
-			sc.flyLinks++
-		} else {
-			sc.flyLinks--
 		}
 	}
 	if l.nFly > 0 {
@@ -674,27 +603,4 @@ func (sc *scheduler) commitDirty(cycle int64) bool {
 	sc.dirtyIDs = sc.dirtyIDs[:0]
 	sc.flyIDs, sc.flyScratch = sc.flyScratch, sc.flyIDs
 	return moved
-}
-
-// nextArrival returns the earliest cycle at which any in-flight flit
-// matures, or WakeNever when nothing is in flight. Together with the timer
-// wheel this bounds the runner's fast-forward when every component is
-// asleep but links still carry flits: commits before (arrival-1) are
-// provable no-ops. phase:commit — called between cycles only.
-func (sc *scheduler) nextArrival() int64 {
-	min := WakeNever
-	links := sc.sys.links
-	for _, id := range sc.flyIDs {
-		if at := links[id].nextArrival(); at < min {
-			min = at
-		}
-	}
-	return min
-}
-
-// quiescent reports whether nothing at all is scheduled for this cycle:
-// no component to examine and no link commit pending. The runner may then
-// fast-forward to the next timer (or to the deadlock/budget horizon).
-func (sc *scheduler) quiescent() bool {
-	return sc.flyLinks == 0 && !sc.awake.any()
 }
