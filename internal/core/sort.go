@@ -91,20 +91,20 @@ func (t *tileSorter) WakeHint(int64) int64 { return sim.WakeNever }
 func (t *tileSorter) Tick(cycle int64) {
 	// Drain one vector.
 	if len(t.drain) > 0 && t.out.CanPush() {
-		var v record.Vector
 		n := len(t.drain)
 		if n > record.NumLanes {
 			n = record.NumLanes
 		}
+		v := t.out.StageVec(cycle)
 		for i := 0; i < n; i++ {
-			v.Push(t.drain[i])
+			*v.PushRef() = t.drain[i]
 		}
 		t.drain = t.drain[n:]
-		t.out.Push(cycle, sim.Flit{Vec: v})
 	}
 	// Fill one vector.
 	if !t.eosIn && !t.in.Empty() && len(t.fill) < t.tile {
-		f := t.in.Pop()
+		f := t.in.Peek()
+		t.in.Drop()
 		if f.EOS {
 			t.eosIn = true
 		} else {
@@ -124,7 +124,7 @@ func (t *tileSorter) Tick(cycle int64) {
 		t.drainBase = t.drain
 	}
 	if t.eosIn && !t.eos && len(t.fill) == 0 && len(t.drain) == 0 && t.out.CanPush() {
-		t.out.Push(cycle, sim.Flit{EOS: true})
+		t.out.PushEOS(cycle)
 		t.eos = true
 	}
 }

@@ -112,3 +112,29 @@ func TestRTreeSpatialJoinRequiresSharedHBM(t *testing.T) {
 		t.Error("separate HBMs accepted")
 	}
 }
+
+// TestRTreeSpatialJoinSpillsOnNarrowHBM runs a join whose recirculating
+// pairs overflow the on-chip spill segment on an HBM with few, shallow
+// channel queues (4 channels × depth 2 = 8 bursts). A full 64-record refill
+// is 48 bursts, which such an HBM can never accept, so SpillQueue must cap
+// its refills at what empty channel queues hold or the join never drains.
+func TestRTreeSpatialJoinSpillsOnNarrowHBM(t *testing.T) {
+	cfg := dram.DefaultConfig()
+	cfg.Channels, cfg.QueueDepth = 4, 2
+	h := dram.New(cfg)
+	const maxC = 1 << 12
+	ea := randRects(1500, maxC, 600, 9)
+	eb := randRects(1500, maxC, 600, 10)
+	ta := rtree.Build(h, RegionTables, ea, maxC)
+	tb := rtree.Build(h, RegionTables+(1<<24), eb, maxC)
+	pairs, res, err := RTreeSpatialJoin(ta, tb, Tuning{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Stats.Get("sj.spill.spilled"); n == 0 {
+		t.Fatal("test setup: the join never spilled")
+	}
+	if want := refSpatialJoin(ea, eb); len(pairs) != len(want) {
+		t.Fatalf("pairs=%d want %d", len(pairs), len(want))
+	}
+}

@@ -58,6 +58,9 @@ func (c *Config) validate() error {
 	if c.BurstWords <= 0 || c.BurstWords&(c.BurstWords-1) != 0 {
 		return fmt.Errorf("dram: burst words must be a power of two, got %d", c.BurstWords)
 	}
+	if c.BurstWords > pageWords {
+		return fmt.Errorf("dram: burst words %d exceed the %d-word backing page", c.BurstWords, pageWords)
+	}
 	if c.RowWords%c.BurstWords != 0 {
 		return fmt.Errorf("dram: row words %d not a multiple of burst words %d", c.RowWords, c.BurstWords)
 	}
@@ -95,30 +98,7 @@ type channel struct {
 	queue   ring.Queue[burst]
 	busy    int64 // channel free at this cycle
 	openRow []int // per-bank open row (-1 closed)
-	// writeBuf is the controller's posted-write combining buffer: burst
-	// address → insertion cycle. Writes to a resident burst merge for
-	// free; entries retire to the queue on eviction or age-out.
-	writeBuf map[uint32]int64
-	// Cached deterministic minimum of (insertion cycle, address) over
-	// writeBuf — the eviction victim and the next age-out candidate. The
-	// old code recomputed it with a full map scan every tick; the cache
-	// makes the per-tick age check O(1) and is rebuilt only when the
-	// minimum itself is removed or touched.
-	wbMinAddr uint32
-	wbMinAt   int64
-	wbMinOK   bool
-}
-
-// wbRecomputeMin rebuilds the cached (age, address) minimum.
-func (c *channel) wbRecomputeMin() {
-	c.wbMinOK = false
-	// lint:maprange-ok — the result is the deterministic minimum of
-	// (age, address); map iteration order cannot affect it.
-	for a, at := range c.writeBuf {
-		if !c.wbMinOK || at < c.wbMinAt || (at == c.wbMinAt && a < c.wbMinAddr) {
-			c.wbMinAddr, c.wbMinAt, c.wbMinOK = a, at, true
-		}
-	}
+	wb      writeBuf
 }
 
 // Write-buffer geometry: wbCap bursts per channel (a few KiB of combining
@@ -127,6 +107,72 @@ const (
 	wbCap      = 64
 	wbFlushAge = 512
 )
+
+// writeBuf is a channel controller's posted-write combining buffer: up to
+// wbCap resident bursts, each a (burst address, insertion cycle) pair held
+// in fixed arrays. Writes to a resident burst merge for free; entries
+// retire to the channel queue on eviction or age-out. Slot order carries
+// no meaning — removal moves the last entry into the hole — because the
+// only order the model observes is the deterministic (age, address)
+// minimum, cached in min.
+type writeBuf struct {
+	addr [wbCap]uint32
+	at   [wbCap]int64
+	n    int
+	// min is the slot of the (insertion cycle, address) minimum — the
+	// eviction victim and the next age-out candidate — valid when n > 0.
+	// It keeps the per-tick age check O(1) and is rebuilt only when the
+	// minimum itself is removed or refreshed.
+	min int
+}
+
+// find returns the slot holding burst address a, or -1.
+func (w *writeBuf) find(a uint32) int {
+	for i, x := range w.addr[:w.n] {
+		if x == a {
+			return i
+		}
+	}
+	return -1
+}
+
+// less reports whether slot i precedes slot j in (age, address) order.
+func (w *writeBuf) less(i, j int) bool {
+	return w.at[i] < w.at[j] || (w.at[i] == w.at[j] && w.addr[i] < w.addr[j])
+}
+
+// recomputeMin rebuilds the cached minimum by a scan of the resident slots.
+func (w *writeBuf) recomputeMin() {
+	w.min = 0
+	for i := 1; i < w.n; i++ {
+		if w.less(i, w.min) {
+			w.min = i
+		}
+	}
+}
+
+// oldest returns the insertion cycle of the minimum entry and whether any
+// entry is resident.
+func (w *writeBuf) oldest() (int64, bool) {
+	if w.n == 0 {
+		return 0, false
+	}
+	return w.at[w.min], true
+}
+
+// remove deletes slot i and returns its burst address.
+func (w *writeBuf) remove(i int) uint32 {
+	a := w.addr[i]
+	w.n--
+	w.addr[i], w.at[i] = w.addr[w.n], w.at[w.n]
+	switch {
+	case i == w.min:
+		w.recomputeMin()
+	case w.min == w.n:
+		w.min = i // the minimum was the last slot, now moved into the hole
+	}
+	return a
+}
 
 // HBM is the memory device plus its channel scheduler. It is ticked by the
 // owning system once per cycle; fabric nodes call Submit.
@@ -137,9 +183,15 @@ type HBM struct {
 
 	burstShift uint
 	chanMask   uint32
-	inflight   inflightList
-	now        int64
-	need       []int // scratch for SubmitAt's per-channel reservation tally
+	// inflight holds issued bursts awaiting completion, one FIFO per
+	// latency class (row hit, row miss). A burst completes a fixed latency
+	// after issue and issue cycles never decrease, so each FIFO is sorted
+	// by due cycle; retire merges their due heads by issue sequence, which
+	// is the order the bursts were issued in.
+	inflight [2]ring.Queue[completion]
+	issued   int64 // issue sequence number of the next burst
+	now      int64
+	need     []int // scratch for SubmitAt's per-channel reservation tally
 
 	// Stats
 	ReadBursts  int64
@@ -167,12 +219,20 @@ func New(cfg Config) *HBM {
 		need:       make([]int, cfg.Channels),
 	}
 	for i := 0; i < cfg.Channels; i++ {
-		ch := &channel{openRow: make([]int, cfg.BanksPerChannel), writeBuf: make(map[uint32]int64)}
+		ch := &channel{openRow: make([]int, cfg.BanksPerChannel)}
 		for b := range ch.openRow {
 			ch.openRow[b] = -1
 		}
 		h.chans = append(h.chans, ch)
 	}
+	// Size each completion FIFO for its class's most bursts in flight —
+	// one issue per channel per BurstCycles over the class latency — so the
+	// cycle loop never grows them.
+	per := func(lat int) int {
+		return cfg.Channels * (lat/max(cfg.BurstCycles, 1) + 1)
+	}
+	h.inflight[0].Reserve(per(cfg.RowHitLatency))
+	h.inflight[1].Reserve(per(cfg.RowHitLatency + cfg.RowMissPenalty))
 	return h
 }
 
@@ -202,8 +262,11 @@ func (h *HBM) WriteWord(addr uint32, v uint32) {
 
 // LoadWords copies data into memory starting at base (untimed).
 func (h *HBM) LoadWords(base uint32, data []uint32) {
-	for i, v := range data {
-		h.WriteWord(base+uint32(i), v)
+	for len(data) > 0 {
+		off := base % pageWords
+		n := copy(h.page(base)[off:], data)
+		data = data[n:]
+		base += uint32(n)
 	}
 }
 
@@ -278,9 +341,7 @@ func (h *HBM) SubmitAt(now int64, req Request) bool {
 		// age-out — which is what makes the dense partition format
 		// cheap (paper fig. 7b): consecutive slots of a block merge
 		// into full bursts before ever touching DRAM.
-		for i := 0; i < req.Words; i++ {
-			h.WriteWord(req.Addr+uint32(i), req.Data[i])
-		}
+		h.LoadWords(req.Addr, req.Data)
 		for b := first; b <= last; b++ {
 			addr := b << h.burstShift
 			ch, _, _ := h.locate(addr)
@@ -304,46 +365,40 @@ func (h *HBM) SubmitAt(now int64, req Request) bool {
 // coalescing hits and evicting the oldest entry to the channel queue when
 // full.
 func (h *HBM) postWrite(c *channel, addr uint32, now int64) {
-	if _, hit := c.writeBuf[addr]; hit {
+	w := &c.wb
+	if i := w.find(addr); i >= 0 {
 		h.CoalescedWrites++
-		c.writeBuf[addr] = now
-		if c.wbMinOK && addr == c.wbMinAddr {
+		w.at[i] = now
+		if i == w.min {
 			// The refreshed entry may no longer be the minimum.
-			c.wbRecomputeMin()
+			w.recomputeMin()
 		}
 		return
 	}
-	if len(c.writeBuf) >= wbCap {
+	if w.n == wbCap {
 		// Victim is the deterministic (age, address) minimum — the cache.
-		if !c.wbMinOK {
-			c.wbRecomputeMin()
-		}
-		h.evictWrite(c, c.wbMinAddr)
+		h.evictWrite(c, w.min)
 	}
-	c.writeBuf[addr] = now
-	if !c.wbMinOK || now < c.wbMinAt || (now == c.wbMinAt && addr < c.wbMinAddr) {
-		c.wbMinAddr, c.wbMinAt, c.wbMinOK = addr, now, true
+	i := w.n
+	w.addr[i], w.at[i] = addr, now
+	w.n++
+	if i == 0 || w.less(i, w.min) {
+		w.min = i
 	}
 }
 
-// evictWrite moves one write burst from the buffer into the channel queue.
-func (h *HBM) evictWrite(c *channel, addr uint32) {
-	delete(c.writeBuf, addr)
+// evictWrite moves the write burst in buffer slot i into the channel queue.
+func (h *HBM) evictWrite(c *channel, i int) {
+	addr := c.wb.remove(i)
 	_, bank, row := h.locate(addr)
 	c.queue.Push(burst{req: nil, addr: addr, bank: bank, row: row})
-	if c.wbMinOK && addr == c.wbMinAddr {
-		c.wbRecomputeMin()
-	}
 }
 
+// completion is an issued burst: due at cycle at, seq-th in issue order.
 type completion struct {
-	at int64
-	b  burst
-}
-
-// inflight bursts awaiting completion, kept per HBM.
-type inflightList struct {
-	items []completion
+	at  int64
+	seq int64
+	b   burst
 }
 
 // Tick advances every channel one cycle: flush aged write-buffer entries,
@@ -351,46 +406,47 @@ type inflightList struct {
 func (h *HBM) Tick(cycle int64) {
 	h.now = cycle
 	for _, ch := range h.chans {
-		// Age-out flush: one entry per cycle at most. The cached (age,
-		// address) minimum is exactly the entry the old full-map scan would
-		// have chosen — if the globally oldest entry is not aged, nothing is.
-		if ch.queue.Len() < h.cfg.QueueDepth && ch.wbMinOK && cycle-ch.wbMinAt > wbFlushAge {
-			h.evictWrite(ch, ch.wbMinAddr)
+		// Age-out flush: one entry per cycle at most, always the cached
+		// (age, address) minimum — if the oldest entry is not aged, nothing is.
+		if at, ok := ch.wb.oldest(); ok && ch.queue.Len() < h.cfg.QueueDepth && cycle-at > wbFlushAge {
+			h.evictWrite(ch, ch.wb.min)
 		}
 		if ch.queue.Len() == 0 || ch.busy > cycle {
 			continue
 		}
-		b := ch.queue.Pop()
-		lat := int64(h.cfg.RowHitLatency)
+		b := ch.queue.Front()
+		class, lat := 0, h.cfg.RowHitLatency
 		if ch.openRow[b.bank] != b.row {
-			lat += int64(h.cfg.RowMissPenalty)
+			class, lat = 1, lat+h.cfg.RowMissPenalty
 			ch.openRow[b.bank] = b.row
 			h.RowMisses++
 		} else {
 			h.RowHits++
 		}
+		*h.inflight[class].PushRefDirty() = completion{at: cycle + int64(lat), seq: h.issued, b: *b}
+		h.issued++
+		ch.queue.Drop()
 		ch.busy = cycle + int64(h.cfg.BurstCycles)
-		h.service(cycle+lat, b)
 	}
 	h.retire(cycle)
 }
 
-func (h *HBM) service(at int64, b burst) {
-	h.inflight.items = append(h.inflight.items, completion{at: at, b: b})
-}
-
-// retire completes bursts and fires request callbacks.
+// retire completes every burst due by cycle, in issue order, and fires
+// request callbacks.
 func (h *HBM) retire(cycle int64) {
-	n := 0
-	for _, c := range h.inflight.items {
-		if c.at > cycle {
-			h.inflight.items[n] = c
-			n++
-			continue
+	hits, misses := &h.inflight[0], &h.inflight[1]
+	for {
+		q := hits
+		hitDue := hits.Len() > 0 && hits.Front().at <= cycle
+		if misses.Len() > 0 && misses.Front().at <= cycle && (!hitDue || misses.Front().seq < hits.Front().seq) {
+			q = misses
+		} else if !hitDue {
+			return
 		}
-		h.finishBurst(c.b)
+		b := q.Front().b
+		q.Drop()
+		h.finishBurst(b)
 	}
-	h.inflight.items = h.inflight.items[:n]
 }
 
 func (h *HBM) finishBurst(b burst) {
@@ -399,26 +455,16 @@ func (h *HBM) finishBurst(b burst) {
 		h.WriteBursts++
 		return
 	}
+	// Only reads are queued with a request: posted writes are acknowledged
+	// at submit and reach the queue as evictions.
 	p := b.req
-	req := p.req
-	if req.Write {
-		// Data was posted to the write buffer at submit time; this is
-		// the timing-side retirement only.
-		h.WriteBursts++
-	} else {
-		lo := b.addr
-		if req.Addr > lo {
-			lo = req.Addr
-		}
-		hi := b.addr + uint32(h.cfg.BurstWords)
-		if end := req.Addr + uint32(req.Words); end < hi {
-			hi = end
-		}
-		for a := lo; a < hi; a++ {
-			p.data[int(a-req.Addr)] = h.ReadWord(a)
-		}
-		h.ReadBursts++
-	}
+	req := &p.req
+	lo := max(b.addr, req.Addr)
+	hi := min(b.addr+uint32(h.cfg.BurstWords), req.Addr+uint32(req.Words))
+	// A burst never straddles a page: both are power-of-two aligned.
+	off := lo % pageWords
+	copy(p.data[lo-req.Addr:hi-req.Addr], h.page(lo)[off:off+(hi-lo)])
+	h.ReadBursts++
 	p.remaining--
 	if p.remaining == 0 && req.Done != nil {
 		req.Done(p.data)
@@ -435,12 +481,8 @@ func (h *HBM) ResetClock() {
 	}
 	for _, ch := range h.chans {
 		ch.busy = 0
-		// lint:maprange-ok — every entry is rebased to the same timestamp;
-		// iteration order cannot matter.
-		for a := range ch.writeBuf {
-			ch.writeBuf[a] = 0
-		}
-		ch.wbRecomputeMin()
+		clear(ch.wb.at[:ch.wb.n])
+		ch.wb.recomputeMin()
 	}
 	h.now = 0
 }
@@ -464,11 +506,11 @@ func (h *HBM) WorstCaseInternalLatency() int64 {
 // anything until its age-out — so it suits callers without a clock.
 // Clocked callers should prefer QuiescentAt.
 func (h *HBM) Idle() bool {
-	if len(h.inflight.items) > 0 {
+	if h.inFlight() {
 		return false
 	}
 	for _, ch := range h.chans {
-		if ch.queue.Len() > 0 || len(ch.writeBuf) > 0 {
+		if ch.queue.Len() > 0 || ch.wb.n > 0 {
 			return false
 		}
 	}
@@ -482,14 +524,14 @@ func (h *HBM) Idle() bool {
 // quiescent stretch before the next age-out can be skipped entirely;
 // NextWriteEvent tells the scheduler when to come back.
 func (h *HBM) QuiescentAt(cycle int64) bool {
-	if len(h.inflight.items) > 0 {
+	if h.inFlight() {
 		return false
 	}
 	for _, ch := range h.chans {
 		if ch.queue.Len() > 0 {
 			return false
 		}
-		if ch.wbMinOK && cycle-ch.wbMinAt > wbFlushAge {
+		if at, ok := ch.wb.oldest(); ok && cycle-at > wbFlushAge {
 			return false
 		}
 	}
@@ -504,8 +546,8 @@ func (h *HBM) QuiescentAt(cycle int64) bool {
 func (h *HBM) NextWriteEvent() int64 {
 	next := int64(math.MaxInt64)
 	for _, ch := range h.chans {
-		if ch.wbMinOK && ch.wbMinAt+wbFlushAge+1 < next {
-			next = ch.wbMinAt + wbFlushAge + 1
+		if at, ok := ch.wb.oldest(); ok && at+wbFlushAge+1 < next {
+			next = at + wbFlushAge + 1
 		}
 	}
 	return next
@@ -525,7 +567,12 @@ func (h *HBM) Drained() bool {
 			return false
 		}
 	}
-	return len(h.inflight.items) == 0
+	return !h.inFlight()
+}
+
+// inFlight reports whether any issued burst awaits completion.
+func (h *HBM) inFlight() bool {
+	return h.inflight[0].Len()+h.inflight[1].Len() > 0
 }
 
 // FlushWrites forces all resident write-buffer entries out (called between
@@ -533,12 +580,7 @@ func (h *HBM) Drained() bool {
 // them).
 func (h *HBM) FlushWrites() {
 	for _, ch := range h.chans {
-		// lint:maprange-ok — every entry is unconditionally drained and the
-		// counter is commutative; iteration order cannot matter.
-		for a := range ch.writeBuf {
-			delete(ch.writeBuf, a)
-			h.WriteBursts++
-		}
-		ch.wbMinOK = false
+		h.WriteBursts += int64(ch.wb.n)
+		ch.wb.n = 0
 	}
 }

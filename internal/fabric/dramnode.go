@@ -244,7 +244,8 @@ func (d *DRAMNode) emit(cycle int64) {
 	}
 	v := d.out.StageVec(cycle)
 	for i := 0; i < n; i++ {
-		v.Push(d.ready.Pop())
+		*v.PushRef() = *d.ready.Front()
+		d.ready.Drop()
 	}
 }
 
@@ -258,6 +259,6 @@ func (d *DRAMNode) finishEOS(cycle int64) {
 	if !d.out.CanPush() {
 		return
 	}
-	d.out.Push(cycle, sim.Flit{EOS: true})
+	d.out.PushEOS(cycle)
 	d.eos = true
 }

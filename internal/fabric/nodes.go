@@ -193,7 +193,7 @@ func (m *Map) WorstCaseInternalLatency() int64 { return PipelineDepth }
 func (m *Map) Tick(cycle int64) {
 	// Drain pipeline head.
 	if m.pipe.Len() > 0 && m.pipe.Front().ready <= cycle && m.out.CanPush() {
-		*m.out.StageVec(cycle) = m.pipe.Front().v
+		copyVec(m.out.StageVec(cycle), &m.pipe.Front().v)
 		m.pipe.Drop()
 	}
 	// Accept one vector per cycle.

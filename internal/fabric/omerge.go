@@ -80,7 +80,8 @@ func (m *OrderedMerge) Tick(cycle int64) {
 		if m.eosv[i] || m.bufs[i].Len() >= record.NumLanes || in.Empty() {
 			continue
 		}
-		f := in.Pop()
+		f := in.Peek()
+		in.Drop()
 		if f.EOS {
 			m.eosv[i] = true
 		} else {
@@ -221,7 +222,8 @@ func (j *MergeJoin) Tick(cycle int64) {
 
 func (j *MergeJoin) refill() {
 	if !j.eosA && j.bufA.Len() < 2*record.NumLanes && !j.a.Empty() {
-		f := j.a.Pop()
+		f := j.a.Peek()
+		j.a.Drop()
 		if f.EOS {
 			j.eosA = true
 		} else {
@@ -233,7 +235,8 @@ func (j *MergeJoin) refill() {
 		}
 	}
 	if !j.eosB && j.bufB.Len() < 2*record.NumLanes && !j.b.Empty() {
-		f := j.b.Pop()
+		f := j.b.Peek()
+		j.b.Drop()
 		if f.EOS {
 			j.eosB = true
 		} else {

@@ -38,6 +38,12 @@ type SpillQueue struct {
 	// Spills counts records that took the DRAM round trip.
 	Spills int64
 
+	// queueWords is what the HBM's channel queues hold when empty:
+	// Channels×QueueDepth bursts of burstWords words. A request starting
+	// o words into a burst is accepted only if it spans at most
+	// queueWords-o words.
+	queueWords, burstWords int
+
 	scratch []record.Rec // reused staging for one input vector's records
 	wdata   []uint32     // reused write payload (consumed synchronously by SubmitAt)
 
@@ -53,6 +59,10 @@ func NewSpillQueue(g *Graph, name string, base uint32, recWords, onChipRecs int,
 	s := &SpillQueue{
 		name: name, h: g.HBM, base: base, recWords: recWords,
 		onchip: onChipRecs, in: in, out: out, stat: g.Stats(),
+	}
+	if g.HBM != nil {
+		c := g.HBM.Config()
+		s.queueWords, s.burstWords = c.Channels*c.QueueDepth*c.BurstWords, c.BurstWords
 	}
 	s.refillCnt = s.stat.Counter(name + ".refills")
 	s.spillCnt = s.stat.Counter(name + ".spilled")
@@ -108,22 +118,24 @@ func (s *SpillQueue) Tick(cycle int64) {
 		}
 		v := s.out.StageVec(cycle)
 		for i := 0; i < n; i++ {
-			v.Push(s.front.Pop())
+			*v.PushRef() = *s.front.Front()
+			s.front.Drop()
 		}
 	}
 	// Refill from DRAM when the on-chip segment runs low.
 	if s.front.Len() < s.onchip/2 && len(s.spilled) > 0 && s.refill == 0 {
-		n := len(s.spilled)
-		if n > 64 {
-			n = 64
-		}
+		addr := s.base + s.rptr%spillRingWords
+		// A refill's bursts must fit an empty set of channel queues, or
+		// SubmitAt refuses it forever.
+		fit := (s.queueWords - int(addr)%s.burstWords) / s.recWords
+		n := min(len(s.spilled), 64, max(fit, 1))
 		// One batch copy and one closure per refill of up to 64 records,
 		// amortized over the DRAM round trip; the copy must escape into the
 		// callback because s.spilled is resliced as soon as the submit lands.
 		batch := append([]record.Rec(nil), s.spilled[:n]...) // lint:hotalloc-ok per-refill batch copy, amortized over the DRAM round trip
 		words := n * s.recWords
 		ok := s.h.SubmitAt(cycle, dram.Request{
-			Addr: s.base + s.rptr%spillRingWords, Words: words,
+			Addr: addr, Words: words,
 			Done: func([]uint32) { // lint:hotalloc-ok per-refill closure, amortized over the DRAM round trip
 				for _, r := range batch {
 					*s.front.PushRef() = r
@@ -141,7 +153,8 @@ func (s *SpillQueue) Tick(cycle int64) {
 	// Accept input: into the on-chip segment if it fits and nothing is
 	// spilled ahead of it (FIFO), otherwise spill to DRAM.
 	if !s.eosIn && !s.in.Empty() {
-		f := s.in.Pop()
+		f := s.in.Peek()
+		s.in.Drop()
 		if f.EOS {
 			s.eosIn = true
 			return

@@ -218,7 +218,8 @@ func (a *DRAMAppend) WakeHint(int64) int64 { return sim.WakeNever }
 // Tick implements sim.Component.
 func (a *DRAMAppend) Tick(cycle int64) {
 	if !a.eosIn && !a.in.Empty() && a.outstanding < 8 {
-		f := a.in.Pop()
+		f := a.in.Peek()
+		a.in.Drop()
 		if f.EOS {
 			a.eosIn = true
 		} else {

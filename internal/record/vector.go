@@ -10,19 +10,22 @@ import (
 // plus a valid mask. Thread compaction (paper §III-A, fig. 5c) produces
 // dense vectors — all valid lanes packed low — which is the form every tile
 // in this simulator emits.
+//
+// Its methods take pointers (String excepted): a Vector is ~840 bytes, and
+// a value receiver copies all of it on every lane test through a *Vector.
 type Vector struct {
 	Lane [NumLanes]Rec
 	Mask uint16
 }
 
 // Count returns the number of valid lanes.
-func (v Vector) Count() int { return bits.OnesCount16(v.Mask) }
+func (v *Vector) Count() int { return bits.OnesCount16(v.Mask) }
 
 // Valid reports whether lane i holds a live record.
-func (v Vector) Valid(i int) bool { return v.Mask&(1<<uint(i)) != 0 }
+func (v *Vector) Valid(i int) bool { return v.Mask&(1<<uint(i)) != 0 }
 
 // Dense reports whether all valid lanes are packed at the low end.
-func (v Vector) Dense() bool {
+func (v *Vector) Dense() bool {
 	n := v.Count()
 	return v.Mask == uint16(1<<uint(n))-1
 }
@@ -54,7 +57,7 @@ func (v *Vector) PushRef() *Rec {
 // Compact returns a dense copy of v: valid lanes shuffled low, mask packed.
 // This is the functional effect of the shuffle network + barrel shifter in
 // the compute tile's compaction datapath.
-func (v Vector) Compact() Vector {
+func (v *Vector) Compact() Vector {
 	var out Vector
 	for i := 0; i < NumLanes; i++ {
 		if v.Valid(i) {
@@ -71,7 +74,7 @@ func (v Vector) Compact() Vector {
 func (v *Vector) Reset() { v.Mask = 0 }
 
 // Records returns the valid records in lane order.
-func (v Vector) Records() []Rec {
+func (v *Vector) Records() []Rec {
 	out := make([]Rec, 0, v.Count())
 	for i := 0; i < NumLanes; i++ {
 		if v.Valid(i) {
@@ -126,12 +129,12 @@ func Vectorize(recs []Rec) []Vector {
 // Flatten concatenates the valid records of a vector slice.
 func Flatten(vecs []Vector) []Rec {
 	n := 0
-	for _, v := range vecs {
-		n += v.Count()
+	for i := range vecs {
+		n += vecs[i].Count()
 	}
 	out := make([]Rec, 0, n)
-	for _, v := range vecs {
-		out = append(out, v.Records()...)
+	for i := range vecs {
+		out = vecs[i].AppendRecords(out)
 	}
 	return out
 }

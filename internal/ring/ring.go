@@ -160,18 +160,23 @@ func (q *Queue[T]) Reset() {
 	q.head, q.n = 0, 0
 }
 
-// grow doubles the backing array, unwrapping the ring so order is kept.
+// grow doubles the backing array.
+func (q *Queue[T]) grow() { q.Reserve(max(2*len(q.buf), 8)) }
+
+// Reserve grows the backing array to hold at least n elements, unwrapping
+// the ring so order is kept. A queue whose peak population is known up
+// front can reserve it once and never grow in the hot loop.
 //
-// lint:hotalloc-ok — classic amortized doubling: each element is copied at
-// most twice over the queue's lifetime, and a queue that has reached its
-// steady-state population never grows again (the runtime AllocsPerRun gates
-// in internal/sim pin this down dynamically).
-func (q *Queue[T]) grow() {
-	size := len(q.buf) * 2
-	if size < 8 {
-		size = 8
+// lint:hotalloc-ok — classic amortized doubling when reached from grow:
+// each element is copied at most twice over the queue's lifetime, and a
+// queue that has reached its steady-state population never grows again
+// (the runtime AllocsPerRun gates in internal/sim pin this down
+// dynamically).
+func (q *Queue[T]) Reserve(n int) {
+	if n <= len(q.buf) {
+		return
 	}
-	buf := make([]T, size)
+	buf := make([]T, n)
 	for i := 0; i < q.n; i++ {
 		buf[i] = *q.At(i)
 	}

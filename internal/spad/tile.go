@@ -562,10 +562,13 @@ func (t *Tile) emitInOrder(cycle int64) {
 	}
 	slots := t.rob[t.robHead]
 	live := t.robLive[t.robHead]
-	var v record.Vector
-	for lane := 0; lane < t.cfg.Lanes; lane++ {
-		if live&(1<<uint(lane)) != 0 {
-			v.Push(slots[lane])
+	if live != 0 {
+		// Stage straight into the link slot: no stack vector to copy in.
+		v := t.out.StageVec(cycle)
+		for lane := 0; lane < t.cfg.Lanes; lane++ {
+			if live&(1<<uint(lane)) != 0 {
+				*v.PushRef() = slots[lane]
+			}
 		}
 	}
 	if slots != nil {
@@ -592,9 +595,6 @@ func (t *Tile) emitInOrder(cycle int64) {
 		t.queues[lane] = q[:n]
 	}
 	t.robHead++
-	if v.Count() > 0 {
-		t.out.Push(cycle, sim.Flit{Vec: v})
-	}
 }
 
 // accept pops an input vector when every valid lane has queue space.
@@ -665,6 +665,6 @@ func (t *Tile) finishEOS(cycle int64) {
 	if !t.out.CanPush() {
 		return
 	}
-	t.out.Push(cycle, sim.Flit{EOS: true})
+	t.out.PushEOS(cycle)
 	t.eosSent = true
 }
