@@ -181,7 +181,7 @@ func HashAggregate(p HashTableParams, keys []uint32, hbm *dram.HBM) (*AggResult,
 	sinkIn := g.Link("agg.sinkIn")
 	g.Add(fabric.NewFilter("agg.exit", func(*record.Rec) int { return 0 }, exitFilter,
 		[]fabric.Output{{Link: sinkIn, Exit: true}}, ctl).Cyclic().Typed(aggS))
-	snk := fabric.NewSink("agg.sink", sinkIn).Typed(aggS)
+	snk := fabric.NewSink("agg.sink", sinkIn).Typed(aggS).Reserve(len(keys))
 	g.Add(snk)
 
 	// Insert path: stamp a slot once, write [key, 0, next=headSeen], CAS

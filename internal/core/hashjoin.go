@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"aurochs/internal/dram"
 	"aurochs/internal/fabric"
@@ -62,8 +63,17 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 	for v := 1; v < P; v <<= 1 {
 		shift++
 	}
+	// split counts each pipeline's share first, so every group is
+	// allocated once at its exact size.
 	split := func(recs []record.Rec) [][]record.Rec {
+		counts := make([]int, P)
+		for i := range recs {
+			counts[Hash32(recs[i].Get(0))&uint32(P-1)]++
+		}
 		out := make([][]record.Rec, P)
+		for k := range out {
+			out[k] = make([]record.Rec, 0, counts[k])
+		}
 		for _, r := range recs {
 			k := int(Hash32(r.Get(0)) & uint32(P-1))
 			out[k] = append(out[k], r)
@@ -170,6 +180,11 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 			return nil, total, fmt.Errorf("probe round %d: %w", r, err)
 		}
 		accumulate(&total, res)
+		n := 0
+		for k := 0; k < P; k++ {
+			n += psinks[k].Count()
+		}
+		matches = slices.Grow(matches, n)
 		for k := 0; k < P; k++ {
 			matches = append(matches, psinks[k].Records()...)
 		}

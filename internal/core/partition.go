@@ -297,7 +297,7 @@ func PartitionInto(g *fabric.Graph, pf string, p PartitionParams, input StreamIn
 		Out:           metaS,
 		DisjointAddrs: true,
 	}, storeIn, stored)
-	snk := fabric.NewSink(pf+".sink", stored).Typed(metaS)
+	snk := fabric.NewSink(pf+".sink", stored).Typed(metaS).Reserve(input.N)
 	g.Add(snk)
 
 	// Allocation path (stays in the loop): grab a block index, link it to

@@ -355,3 +355,31 @@ func TestDRAMNodeGatherScatter(t *testing.T) {
 		}
 	}
 }
+
+// TestSinkReserve: a sink reserved for exactly its record count collects
+// them in its first backing array, and one that receives more than it
+// reserved still collects every record in order.
+func TestSinkReserve(t *testing.T) {
+	for _, tc := range []struct{ reserve, n int }{{100, 100}, {40, 100}} {
+		g := NewGraph()
+		a := g.Link("a")
+		g.Add(NewSource("src", seqRecs(tc.n), a))
+		snk := NewSink("snk", a).Reserve(tc.reserve)
+		g.Add(snk)
+		base := &snk.recs[:1][0]
+		if _, err := g.Run(100_000); err != nil {
+			t.Fatal(err)
+		}
+		if snk.Count() != tc.n {
+			t.Fatalf("reserve %d: got %d records, want %d", tc.reserve, snk.Count(), tc.n)
+		}
+		for i, r := range snk.Records() {
+			if r.Get(0) != uint32(i) {
+				t.Fatalf("reserve %d: record %d = %d", tc.reserve, i, r.Get(0))
+			}
+		}
+		if moved := &snk.Records()[0] != base; moved != (tc.n > tc.reserve) {
+			t.Errorf("reserve %d for %d records: backing array replaced = %v", tc.reserve, tc.n, moved)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math/bits"
+	"slices"
 
 	"aurochs/internal/record"
 	"aurochs/internal/ring"
@@ -95,6 +96,14 @@ func (s *Sink) Tick(cycle int64) {
 		}
 		s.recs = f.Vec.AppendRecords(s.recs)
 	}
+}
+
+// Reserve makes room for n more records, so a sink whose record count is
+// known up front collects them without growing its output by doubling.
+// Records beyond n are still collected.
+func (s *Sink) Reserve(n int) *Sink {
+	s.recs = slices.Grow(s.recs, n)
+	return s
 }
 
 // Records returns everything collected so far.

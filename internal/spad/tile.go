@@ -19,9 +19,11 @@ type Config struct {
 	// Capstan ablation doubles it to 16 because in-order dequeue cannot
 	// free granted slots early (paper §III-B).
 	IssueDepth int
-	// InOrder selects Capstan's discipline: only the oldest vector's
-	// requests bid, and response vectors dequeue in arrival order
-	// (head-of-line blocking). Default false = Aurochs reordering.
+	// InOrder selects Capstan's discipline: every queued request still
+	// bids to the allocator, but a granted request keeps its issue-queue
+	// slot until its whole vector dequeues, and response vectors dequeue
+	// in arrival order (head-of-line blocking). Default false = Aurochs
+	// reordering, which frees the slot at grant.
 	InOrder bool
 	// ForwardRMW enables the write→read forwarding path that lets
 	// back-to-back RMW ops to the same bank issue every cycle. Without
@@ -59,20 +61,24 @@ func DefaultConfig(name string) Config {
 	return c
 }
 
-type qent struct {
-	rec     record.Rec
-	addr    uint32
-	bank    int
-	seq     int64 // arrival vector sequence (in-order mode)
-	granted bool  // in-order mode: slot stays occupied until vector dequeue
+// slot holds one thread request from accept until it leaves the tile. The
+// record is copied in once at accept and out once at emit (or into the ROB
+// in in-order mode); only int32 slot handles move through the age lists,
+// pending and ready.
+type slot struct {
+	rec  record.Rec
+	done int64 // cycle the bank access completes
+	seq  int64 // arrival vector sequence (in-order mode)
+	addr uint32
+	next int32 // next handle in this slot's (lane, bank) age list or in the freelist; -1 ends it
+	lane int32
 }
 
-type bankOp struct {
-	rec  record.Rec
-	resp []uint32
-	done int64
+// arrival is one accepted request's lane, kept in arrival order so the
+// in-order discipline can release lane capacity when its vector dequeues.
+type arrival struct {
 	seq  int64
-	lane int
+	lane int32
 }
 
 // Tile is one stream pipeline of a scratchpad: issue queues, allocator,
@@ -86,14 +92,26 @@ type Tile struct {
 	out   *sim.Link
 	stats *sim.Stats
 
-	queues   [][]qent
+	// slots is the request arena, growing once to the resident population
+	// and then recycling through the freelist headed by free. Slot h owns
+	// the response words resp[h*respW : (h+1)*respW] (respW is 0 for
+	// OpWrite, which has no response).
+	slots []slot
+	resp  []uint32
+	respW int
+	free  int32
+	// laneOcc counts each lane's occupied issue-queue slots: released at
+	// grant in Aurochs mode, at vector dequeue (through arrivals) in
+	// in-order mode.
+	laneOcc  []int32
+	arrivals ring.Queue[arrival]
 	bankBusy []int64 // bank free again at this cycle
 	// pending is FIFO by completion time: every grant's done stamp is
 	// cycle + AccessLatency + busy - 1 with busy fixed per tile config, so
 	// later grants never complete earlier and retire can stop at the first
 	// unfinished op instead of scanning (and compacting) the whole window.
-	pending  ring.Queue[bankOp]
-	ready    ring.Queue[record.Rec] // completed threads awaiting output vectorization
+	pending  ring.Queue[int32]
+	ready    ring.Queue[int32] // completed threads awaiting output vectorization
 	rob      map[int64][]record.Rec
 	robFree  [][]record.Rec   // recycled ROB slot slices (in-order mode)
 	robLive  map[int64]uint32 // lanes with a retired record per seq
@@ -104,27 +122,27 @@ type Tile struct {
 	eosIn    bool
 	eosSent  bool
 
-	// Allocator acceleration state. The arbitration itself is unchanged —
-	// these only let the scan skip banks and lanes that provably hold no
-	// bidding request, so the single-cycle matching stays bit-identical
-	// while the host cost drops from banks×lanes×depth struct copies to a
-	// handful of counter probes.
-	banks    int     // t.mem.Banks(), hoisted
-	width    int     // t.spec.width(), hoisted
-	nq       int     // total occupied issue-queue slots (incl. granted)
-	bids     int     // total un-granted slots (active bidders)
-	bankBids []int32 // un-granted slots per bank
-	laneBids []int32 // un-granted slots per lane×bank, lane*banks+bank
-	// Bit-mirrors of the counters above (bit b of bankBidMask set iff
-	// bankBids[b] > 0; bit l of laneMask[bank] set iff laneBids[l*banks+bank]
-	// > 0). The allocator rotates these by rr and walks set bits with
-	// TrailingZeros, which visits exactly the banks/lanes the counter scan
-	// would in the same priority order — only the empty probes disappear.
-	// Maintained only while banks and Lanes both fit in 64 bits (maskable).
+	// Allocator state. Each (lane, bank) pair keeps a FIFO age list of its
+	// un-granted slots, linked through slot.next, at ageHead/ageTail
+	// [lane*banks+bank] (-1 when empty). A list head is exactly the oldest
+	// un-granted request of that lane for that bank, the one the
+	// age-ordered grant picks, so the matching reads list heads instead of
+	// scanning issue queues.
+	banks   int // t.mem.Banks(), hoisted
+	width   int // t.spec.width(), hoisted
+	nq      int // total occupied issue-queue slots (incl. granted)
+	ageHead []int32
+	ageTail []int32
+	// Bit-mirrors of the age lists: bit l of laneMask[bank] is set iff
+	// lane l's list for bank is non-empty, and bit b of bankBidMask iff
+	// laneMask[b] != 0. The allocator rotates these by rr and walks set
+	// bits with TrailingZeros, which visits exactly the banks/lanes a
+	// rotated scan would in the same priority order. Used only while banks
+	// and Lanes both fit in 64 bits (maskable).
 	bankBidMask uint64
 	laneMask    []uint64
 	maskable    bool
-	respFree    [][]uint32
+	issued      []bool // the reference scan's lanes granted this cycle (!maskable)
 
 	cGrants, cConf, cReq *sim.Counter
 	cDropped, cRespStall *sim.Counter
@@ -164,14 +182,15 @@ func NewTile(cfg Config, mem *Mem, spec Spec, in, out *sim.Link, stats *sim.Stat
 		in:         in,
 		out:        out,
 		stats:      stats,
-		queues:     make([][]qent, cfg.Lanes),
+		free:       -1,
+		laneOcc:    make([]int32, cfg.Lanes),
 		bankBusy:   make([]int64, mem.Banks()),
 		rob:        make(map[int64][]record.Rec),
 		robLive:    make(map[int64]uint32),
 		robCount:   make(map[int64]int),
 		banks:      mem.Banks(),
-		bankBids:   make([]int32, mem.Banks()),
-		laneBids:   make([]int32, cfg.Lanes*mem.Banks()),
+		ageHead:    make([]int32, cfg.Lanes*mem.Banks()),
+		ageTail:    make([]int32, cfg.Lanes*mem.Banks()),
 		laneMask:   make([]uint64, mem.Banks()),
 		maskable:   mem.Banks() <= 64 && cfg.Lanes <= 64,
 		cGrants:    stats.Counter(cfg.Name + ".grants"),
@@ -183,6 +202,15 @@ func NewTile(cfg Config, mem *Mem, spec Spec, in, out *sim.Link, stats *sim.Stat
 		cOutStall:  stats.Counter(cfg.Name + ".out_stall"),
 	}
 	t.width = t.spec.width()
+	if spec.Op != OpWrite {
+		t.respW = t.width
+	}
+	if !t.maskable {
+		t.issued = make([]bool, cfg.Lanes)
+	}
+	for i := range t.ageHead {
+		t.ageHead[i], t.ageTail[i] = -1, -1
+	}
 	return t
 }
 
@@ -218,10 +246,12 @@ func (t *Tile) Reordering() sim.ReorderDecl { return t.spec.Decl(!t.cfg.InOrder)
 
 // ResidentBound bounds the thread records simultaneously buffered inside
 // the tile, for the token-flow prover's occupancy accounting: the issue
-// queues (Lanes × IssueDepth slots) plus the response-side window, which
-// Tick's admission gate holds under 4×Lanes ready-or-pending responses.
+// queues (Lanes × IssueDepth slots) plus the response-side window. allocate
+// grants only while fewer than 4×Lanes responses are ready or pending, but
+// checks that before granting, and one cycle grants up to min(Lanes, Banks)
+// requests, so the window can reach 4×Lanes - 1 + min(Lanes, Banks).
 func (t *Tile) ResidentBound() int {
-	return t.cfg.Lanes*t.cfg.IssueDepth + 4*t.cfg.Lanes
+	return t.cfg.Lanes*t.cfg.IssueDepth + 4*t.cfg.Lanes + min(t.cfg.Lanes, t.banks) - 1
 }
 
 // LossyDecl exposes the stream's declared drop behaviour (Spec.Lossy and
@@ -282,54 +312,80 @@ func (t *Tile) Tick(cycle int64) {
 // so the loop stops at the first unfinished op.
 func (t *Tile) retire(cycle int64) {
 	for t.pending.Len() > 0 {
-		op := t.pending.Front()
-		if op.done > cycle {
+		h := *t.pending.Front()
+		s := &t.slots[h]
+		if s.done > cycle {
 			return
 		}
+		t.pending.Drop()
 		keep := true
 		if t.spec.Apply != nil {
-			keep = t.spec.Apply(&op.rec, op.resp)
-		}
-		if op.resp != nil {
-			// Apply may not retain resp (see Spec.Apply); recycle the buffer.
-			t.respFree = append(t.respFree, op.resp) // lint:hotalloc-ok freelist bounded by pipeline population
-			op.resp = nil
+			keep = t.spec.Apply(&s.rec, t.respOf(h))
 		}
 		if !keep {
 			t.cDropped.Add(1)
-			t.retireSeq(op.seq)
-			t.pending.Drop()
+			t.retireSeq(s.seq)
+			t.freeSlot(h)
 			continue
 		}
-		if t.cfg.InOrder {
-			// Reassemble the vector in lane order: Capstan preserves
-			// stream order exactly.
-			slots := t.rob[op.seq]
-			if slots == nil {
-				if n := len(t.robFree); n > 0 {
-					// Reuse a slice released by emitInOrder: the ROB
-					// population is bounded, so the freelist covers
-					// steady state without fresh allocation.
-					slots = t.robFree[n-1]
-					t.robFree = t.robFree[:n-1]
-					clear(slots)
-				} else {
-					slots = make([]record.Rec, t.cfg.Lanes) // lint:hotalloc-ok freelist warmup, bounded by the in-flight window
-				}
-			}
-			slots[op.lane] = op.rec
-			// The reorder window is bounded by issue-queue backpressure, so
-			// the maps' bucket arrays stop growing once it is covered.
-			t.rob[op.seq] = slots                   // lint:hotalloc-ok bounded reorder window, buckets reused after delete
-			t.robLive[op.seq] |= 1 << uint(op.lane) // lint:hotalloc-ok bounded reorder window, buckets reused after delete
-			t.retireSeq(op.seq)
-		} else {
+		if !t.cfg.InOrder {
 			// Ring capacity is bounded by the response-side backpressure in
 			// allocate, so the backing array stops growing at steady state.
-			*t.ready.PushRefDirty() = op.rec // lint:hotalloc-ok bounded by backpressure, ring reuses its array
+			t.ready.Push(h) // lint:hotalloc-ok bounded by backpressure, ring reuses its array
+			continue
 		}
-		t.pending.Drop()
+		// Reassemble the vector in lane order: Capstan preserves stream
+		// order exactly.
+		slots := t.rob[s.seq]
+		if slots == nil {
+			if n := len(t.robFree); n > 0 {
+				// Reuse a slice released by emitInOrder: the ROB
+				// population is bounded, so the freelist covers
+				// steady state without fresh allocation.
+				slots = t.robFree[n-1]
+				t.robFree = t.robFree[:n-1]
+				clear(slots)
+			} else {
+				slots = make([]record.Rec, t.cfg.Lanes) // lint:hotalloc-ok freelist warmup, bounded by the in-flight window
+			}
+		}
+		slots[s.lane] = s.rec
+		// The reorder window is bounded by issue-queue backpressure, so
+		// the maps' bucket arrays stop growing once it is covered.
+		t.rob[s.seq] = slots                  // lint:hotalloc-ok bounded reorder window, buckets reused after delete
+		t.robLive[s.seq] |= 1 << uint(s.lane) // lint:hotalloc-ok bounded reorder window, buckets reused after delete
+		t.retireSeq(s.seq)
+		t.freeSlot(h)
 	}
+}
+
+// respOf returns slot h's response words, or nil for OpWrite. The slice is
+// capped so an Apply that appends to it cannot spill into the next slot.
+func (t *Tile) respOf(h int32) []uint32 {
+	if t.respW == 0 {
+		return nil
+	}
+	lo := int(h) * t.respW
+	return t.resp[lo : lo+t.respW : lo+t.respW]
+}
+
+// newSlot takes a slot from the freelist, growing the arena only until it
+// covers the tile's resident population.
+func (t *Tile) newSlot() int32 {
+	if h := t.free; h >= 0 {
+		t.free = t.slots[h].next
+		return h
+	}
+	t.slots = append(t.slots, slot{}) // lint:hotalloc-ok arena warmup, bounded by ResidentBound
+	for i := 0; i < t.respW; i++ {
+		t.resp = append(t.resp, 0) // lint:hotalloc-ok arena warmup, bounded by ResidentBound
+	}
+	return int32(len(t.slots) - 1)
+}
+
+func (t *Tile) freeSlot(h int32) {
+	t.slots[h].next = t.free
+	t.free = h
 }
 
 func (t *Tile) retireSeq(seq int64) {
@@ -340,9 +396,10 @@ func (t *Tile) retireSeq(seq int64) {
 }
 
 // allocate is the single-cycle lane↔bank matching (paper fig. 2b): every
-// valid issue-queue slot bids for its bank; each bank grants at most one
-// request and each lane issues at most one. Granted slots are invalidated
-// immediately in Aurochs mode, freeing the slot for a new thread.
+// un-granted issue-queue slot bids for its bank; each bank grants at most
+// one request and each lane issues at most one, the oldest of its requests
+// for that bank. Granted slots are invalidated immediately in Aurochs mode,
+// freeing the slot for a new thread.
 func (t *Tile) allocate(cycle int64) {
 	if t.ready.Len()+t.pending.Len() >= 4*t.cfg.Lanes {
 		// Response-side backpressure: stop granting when the output
@@ -351,7 +408,7 @@ func (t *Tile) allocate(cycle int64) {
 		return
 	}
 	granted := 0
-	if t.bids > 0 && t.maskable {
+	if t.maskable {
 		// Greedy maximal matching (paper fig. 2b) over the bid masks: visit
 		// banks with live bids in rotated order (b+rr)&(banks-1), and for
 		// each, the first non-issued lane with a live bid for it in rotated
@@ -380,45 +437,27 @@ func (t *Tile) allocate(cycle int64) {
 			if lane >= lmod {
 				lane -= lmod
 			}
-			// FIFO scan order gives priority to older requests, matching
-			// Capstan's age-based allocation rounds. A matching un-granted
-			// slot must exist: laneBids[lane][bank] > 0.
-			q := t.queues[lane]
-			for si := range q {
-				e := &q[si]
-				if e.granted || e.bank != bank {
-					continue
-				}
-				t.grant(cycle, lane, si)
-				issued |= uint64(1) << uint(lane)
-				granted++
-				break
-			}
+			t.grant(cycle, lane, bank)
+			issued |= uint64(1) << uint(lane)
+			granted++
 		}
-	} else if t.bids > 0 {
+	} else {
 		// Reference scan for degenerate geometries (>64 banks or lanes).
-		issued := make([]bool, t.cfg.Lanes) // lint:hotalloc-ok cold fallback path, never taken at default geometry
+		issued := t.issued
+		clear(issued)
 		for b := 0; b < t.banks; b++ {
 			bank := (b + t.rr) & (t.banks - 1)
-			if t.bankBids[bank] == 0 || t.bankBusy[bank] > cycle {
+			if t.bankBusy[bank] > cycle {
 				continue
 			}
 			for l := 0; l < t.cfg.Lanes; l++ {
 				lane := (l + t.rr) % t.cfg.Lanes
-				if issued[lane] || t.laneBids[lane*t.banks+bank] == 0 {
+				if issued[lane] || t.ageHead[lane*t.banks+bank] < 0 {
 					continue
 				}
-				q := t.queues[lane]
-				for si := range q {
-					e := &q[si]
-					if e.granted || e.bank != bank {
-						continue
-					}
-					t.grant(cycle, lane, si)
-					issued[lane] = true
-					granted++
-					break
-				}
+				t.grant(cycle, lane, bank)
+				issued[lane] = true
+				granted++
 				break
 			}
 		}
@@ -434,57 +473,54 @@ func (t *Tile) allocate(cycle int64) {
 	}
 }
 
-// grant executes queue slot si of lane and schedules its retirement.
-// Memory state mutates at grant time, which is what serializes same-address
-// atomics (same address ⇒ same bank ⇒ at most one grant per cycle).
+// grant executes the oldest un-granted request of lane for bank (the head
+// of its age list) and schedules its retirement. Memory state mutates at
+// grant time, which is what serializes same-address atomics (same address
+// ⇒ same bank ⇒ at most one grant per cycle).
 //
-// In Aurochs mode the slot is invalidated immediately — the property that
-// halves the required queue depth. In Capstan (in-order) mode the slot
-// stays occupied until its whole vector dequeues.
-func (t *Tile) grant(cycle int64, lane, si int) {
-	e := &t.queues[lane][si]
-	bank := e.bank
-	t.bids--
-	if t.bankBids[bank]--; t.bankBids[bank] == 0 {
-		t.bankBidMask &^= uint64(1) << uint(bank)
-	}
-	if t.laneBids[lane*t.banks+bank]--; t.laneBids[lane*t.banks+bank] == 0 {
-		t.laneMask[bank] &^= uint64(1) << uint(lane)
+// In Aurochs mode the request's issue-queue slot frees immediately — the
+// property that halves the required queue depth. In Capstan (in-order)
+// mode it stays occupied until its whole vector dequeues.
+func (t *Tile) grant(cycle int64, lane, bank int) {
+	i := lane*t.banks + bank
+	h := t.ageHead[i]
+	s := &t.slots[h]
+	t.ageHead[i] = s.next
+	if s.next < 0 {
+		t.ageTail[i] = -1
+		if t.laneMask[bank] &^= uint64(1) << uint(lane); t.laneMask[bank] == 0 {
+			t.bankBidMask &^= uint64(1) << uint(bank)
+		}
 	}
 
 	w := t.width
-	var resp []uint32
+	resp := t.respOf(h)
 	switch t.spec.Op {
 	case OpRead:
-		resp = t.respBuf(w)
 		for i := 0; i < w; i++ {
-			resp[i] = t.mem.Read(e.addr + uint32(i))
+			resp[i] = t.mem.Read(s.addr + uint32(i))
 		}
 	case OpWrite:
 		for i := 0; i < w; i++ {
-			t.mem.Write(e.addr+uint32(i), t.spec.Data(&e.rec, i))
+			t.mem.Write(s.addr+uint32(i), t.spec.Data(&s.rec, i))
 		}
 	case OpCAS:
-		cur := t.mem.Read(e.addr)
-		if cur == t.spec.Data(&e.rec, 0) {
-			t.mem.Write(e.addr, t.spec.Data(&e.rec, 1))
+		cur := t.mem.Read(s.addr)
+		if cur == t.spec.Data(&s.rec, 0) {
+			t.mem.Write(s.addr, t.spec.Data(&s.rec, 1))
 		}
-		resp = t.respBuf(1)
 		resp[0] = cur
 	case OpFAA:
-		cur := t.mem.Read(e.addr)
-		t.mem.Write(e.addr, cur+t.spec.Data(&e.rec, 0))
-		resp = t.respBuf(1)
+		cur := t.mem.Read(s.addr)
+		t.mem.Write(s.addr, cur+t.spec.Data(&s.rec, 0))
 		resp[0] = cur
 	case OpXCHG:
-		cur := t.mem.Read(e.addr)
-		t.mem.Write(e.addr, t.spec.Data(&e.rec, 0))
-		resp = t.respBuf(1)
+		cur := t.mem.Read(s.addr)
+		t.mem.Write(s.addr, t.spec.Data(&s.rec, 0))
 		resp[0] = cur
 	case OpModify:
-		cur := t.mem.Read(e.addr)
-		t.mem.Write(e.addr, t.spec.Modify(cur, &e.rec))
-		resp = t.respBuf(1)
+		cur := t.mem.Read(s.addr)
+		t.mem.Write(s.addr, t.spec.Modify(cur, &s.rec))
 		resp[0] = cur
 	}
 
@@ -496,34 +532,15 @@ func (t *Tile) grant(cycle int64, lane, si int) {
 		busy = 2
 	}
 	t.bankBusy[bank] = cycle + busy
+	s.done = cycle + int64(t.cfg.AccessLatency) + busy - 1
 	// Grows to the bounded in-flight population once; the ring reuses its
 	// backing array at steady state.
-	op := t.pending.PushRefDirty() // lint:hotalloc-ok bounded in-flight ops, ring reuses its array
-	op.rec = e.rec
-	op.resp = resp
-	op.done = cycle + int64(t.cfg.AccessLatency) + busy - 1
-	op.seq = e.seq
-	op.lane = lane
+	t.pending.Push(h) // lint:hotalloc-ok bounded in-flight ops, ring reuses its array
 
-	if t.cfg.InOrder {
-		e.granted = true
-	} else {
-		t.queues[lane] = append(t.queues[lane][:si], t.queues[lane][si+1:]...)
+	if !t.cfg.InOrder {
+		t.laneOcc[lane]--
 		t.nq--
 	}
-}
-
-// respBuf hands out a response buffer from the retire-side freelist,
-// allocating only until the pipeline's steady-state population is covered.
-func (t *Tile) respBuf(w int) []uint32 {
-	if n := len(t.respFree); n > 0 {
-		b := t.respFree[n-1]
-		t.respFree = t.respFree[:n-1]
-		if cap(b) >= w {
-			return b[:w]
-		}
-	}
-	return make([]uint32, w) // lint:hotalloc-ok freelist warmup, bounded by steady-state population
 }
 
 // emit vectorizes completed threads and pushes at most one dense vector per
@@ -546,8 +563,10 @@ func (t *Tile) emit(cycle int64) {
 	}
 	v := t.out.StageVec(cycle)
 	for i := 0; i < n; i++ {
-		*v.PushRef() = *t.ready.Front()
+		h := *t.ready.Front()
 		t.ready.Drop()
+		*v.PushRef() = t.slots[h].rec
+		t.freeSlot(h)
 	}
 }
 
@@ -579,20 +598,11 @@ func (t *Tile) emitInOrder(cycle int64) {
 	delete(t.robLive, t.robHead)
 	// Vector dequeue frees this vector's issue-queue slots — the point
 	// where Capstan reclaims space that Aurochs reclaimed at grant time.
-	for lane := range t.queues {
-		q := t.queues[lane]
-		n := 0
-		for i := range q {
-			if q[i].seq != t.robHead {
-				if n != i {
-					q[n] = q[i]
-				}
-				n++
-			} else {
-				t.nq-- // dequeued slots were all granted; bid counts unaffected
-			}
-		}
-		t.queues[lane] = q[:n]
+	// Its requests were all granted, so only lane occupancy changes.
+	for t.arrivals.Len() > 0 && t.arrivals.Front().seq == t.robHead {
+		t.laneOcc[t.arrivals.Front().lane]--
+		t.nq--
+		t.arrivals.Drop()
 	}
 	t.robHead++
 }
@@ -608,8 +618,9 @@ func (t *Tile) accept(cycle int64) {
 		t.eosIn = true
 		return
 	}
-	for i := 0; i < record.NumLanes; i++ {
-		if f.Vec.Valid(i) && len(t.queues[i%t.cfg.Lanes]) >= t.cfg.IssueDepth {
+	// Valid lanes are visited as set bits of the mask, in ascending order.
+	for m := f.Vec.Mask; m != 0; m &= m - 1 {
+		if int(t.laneOcc[t.queueLane(bits.TrailingZeros16(m))]) >= t.cfg.IssueDepth {
 			t.cInStall.Add(1)
 			return
 		}
@@ -618,30 +629,36 @@ func (t *Tile) accept(cycle int64) {
 	seq := t.seq
 	t.seq++
 	count := 0
-	for i := 0; i < record.NumLanes; i++ {
-		if !f.Vec.Valid(i) {
-			continue
-		}
-		addr := t.spec.Addr(&f.Vec.Lane[i])
+	for m := f.Vec.Mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros16(m)
+		r := &f.Vec.Lane[i]
+		addr := t.spec.Addr(r)
 		if int(addr)+t.width > t.mem.Words() {
 			panic(fmt.Sprintf("%s: address %d+%d out of range (%d words)", t.cfg.Name, addr, t.width, t.mem.Words()))
 		}
-		lane := i % t.cfg.Lanes
+		lane := t.queueLane(i)
 		bank := t.mem.Bank(addr)
-		q := append(t.queues[lane], qent{}) // lint:hotalloc-ok bounded by IssueDepth backpressure in the loop above
-		e := &q[len(q)-1]
-		e.rec = f.Vec.Lane[i]
-		e.addr = addr
-		e.bank = bank
-		e.seq = seq
-		t.queues[lane] = q
-		t.nq++
-		t.bids++
-		if t.bankBids[bank]++; t.bankBids[bank] == 1 {
+		h := t.newSlot()
+		s := &t.slots[h]
+		s.rec = *r
+		s.addr = addr
+		s.seq = seq
+		s.lane = int32(lane)
+		s.next = -1
+		// Append to the (lane, bank) age list.
+		j := lane*t.banks + bank
+		if tail := t.ageTail[j]; tail >= 0 {
+			t.slots[tail].next = h
+		} else {
+			t.ageHead[j] = h
+			t.laneMask[bank] |= uint64(1) << uint(lane)
 			t.bankBidMask |= uint64(1) << uint(bank)
 		}
-		if t.laneBids[lane*t.banks+bank]++; t.laneBids[lane*t.banks+bank] == 1 {
-			t.laneMask[bank] |= uint64(1) << uint(lane)
+		t.ageTail[j] = h
+		t.laneOcc[lane]++
+		t.nq++
+		if t.cfg.InOrder {
+			t.arrivals.Push(arrival{seq: seq, lane: int32(lane)}) // lint:hotalloc-ok bounded by issue-queue capacity, ring reuses its array
 		}
 		count++
 	}
@@ -649,6 +666,16 @@ func (t *Tile) accept(cycle int64) {
 		t.robCount[seq] = count // lint:hotalloc-ok bounded reorder window, buckets reused after delete
 	}
 	t.cReq.Add(int64(count))
+}
+
+// queueLane maps vector lane i to its issue-queue lane, i mod Lanes. The
+// division is skipped when Lanes covers the vector width, as it does at the
+// default geometry.
+func (t *Tile) queueLane(i int) int {
+	if i < t.cfg.Lanes {
+		return i
+	}
+	return i % t.cfg.Lanes
 }
 
 // finishEOS forwards end-of-stream once the pipeline has fully drained.

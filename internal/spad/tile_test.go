@@ -362,17 +362,22 @@ func TestMemPanics(t *testing.T) {
 	}
 }
 
-// tileBufProbe watches a Tile's response-side buffers from inside the cycle
-// loop, recording the identity of every backing array they ever live in.
-// Both fields it samples were reallocation hot spots the hotalloc prover
-// surfaced: ready used to slide off the front (ready = ready[n:]) until
-// append reallocated it, and in-order ROB slots were made fresh per vector.
+// tileBufProbe watches a Tile's buffers from inside the cycle loop,
+// recording the identity of every backing array they ever live in. ready
+// and the in-order ROB slots were reallocation hot spots the hotalloc
+// prover surfaced: ready used to slide off the front (ready = ready[n:])
+// until append reallocated it, and ROB slots were made fresh per vector.
+// The slot arena grows by append until it covers the resident population;
+// lastArenaGrow is the last cycle it moved to a new backing array.
 type tileBufProbe struct {
-	tile         *Tile
-	readyBacking map[*record.Rec]bool
-	robBacking   map[*record.Rec]bool
-	robSeqs      int
-	lastSeq      int64
+	tile          *Tile
+	readyBacking  map[*int32]bool
+	robBacking    map[*record.Rec]bool
+	arenaBacking  *slot
+	lastArenaGrow int64
+	cycles        int64
+	robSeqs       int
+	lastSeq       int64
 }
 
 func (p *tileBufProbe) Name() string { return "tileprobe" }
@@ -382,9 +387,14 @@ func (p *tileBufProbe) Done() bool   { return true }
 // the tile declares its Mem, so claiming the same identity key unions the
 // two and sampling the tile's unexported buffers cannot race.
 func (p *tileBufProbe) SharedState() []any { return []any{p.tile.mem} }
-func (p *tileBufProbe) Tick(int64) {
+func (p *tileBufProbe) Tick(c int64) {
+	p.cycles = c
 	if id := p.tile.ready.BackingID(); id != nil {
 		p.readyBacking[id] = true
+	}
+	if len(p.tile.slots) > 0 && &p.tile.slots[0] != p.arenaBacking {
+		p.arenaBacking = &p.tile.slots[0]
+		p.lastArenaGrow = c
 	}
 	for seq, slots := range p.tile.rob {
 		if len(slots) > 0 {
@@ -404,7 +414,7 @@ func runTileProbed(t *testing.T, cfg Config, spec Spec, recs []record.Rec) *tile
 	in := sys.NewLink("in", 8, 1)
 	out := sys.NewLink("out", 8, 1)
 	tile := NewTile(cfg, NewMem(16, 64, 0), spec, in, out, sys.Stats())
-	probe := &tileBufProbe{tile: tile, readyBacking: map[*record.Rec]bool{}, robBacking: map[*record.Rec]bool{}}
+	probe := &tileBufProbe{tile: tile, readyBacking: map[*int32]bool{}, robBacking: map[*record.Rec]bool{}}
 	sys.Add(&vecSource{out: in, vecs: record.Vectorize(recs)})
 	sys.Add(tile)
 	sys.Add(&vecSink{in: out})
@@ -446,6 +456,32 @@ func TestTileReadyBufferStaysPut(t *testing.T) {
 	}
 }
 
+// TestTileSlotArenaStaysPut: the request arena grows only until it covers
+// the tile's resident population and then recycles slots through its
+// freelist, so it stops moving early in a long run and never outgrows
+// ResidentBound.
+func TestTileSlotArenaStaysPut(t *testing.T) {
+	spec := Spec{
+		Op:    OpFAA,
+		Addr:  func(r *record.Rec) uint32 { return r.Get(0) },
+		Data:  func(*record.Rec, int) uint32 { return 1 },
+		Apply: func(r *record.Rec, resp []uint32) bool { return true },
+	}
+	for _, inOrder := range []bool{false, true} {
+		probe := runTileProbed(t, Config{Name: "arenaprobe", InOrder: inOrder}, spec, conflictyRecs(4096))
+		if probe.arenaBacking == nil {
+			t.Fatal("probe never saw the slot arena populated")
+		}
+		if probe.lastArenaGrow*4 > probe.cycles {
+			t.Errorf("inorder=%v: arena moved to a new backing array at cycle %d of %d; it should stop growing early",
+				inOrder, probe.lastArenaGrow, probe.cycles)
+		}
+		if n := len(probe.tile.slots); n > probe.tile.ResidentBound() {
+			t.Errorf("inorder=%v: arena holds %d slots, ResidentBound() = %d", inOrder, n, probe.tile.ResidentBound())
+		}
+	}
+}
+
 // TestTileROBSlotsRecycle: in-order mode recycles retired ROB slot slices
 // through a freelist — the number of distinct slot arrays is bounded by the
 // in-flight window, not by the number of vectors processed.
@@ -465,5 +501,76 @@ func TestTileROBSlotsRecycle(t *testing.T) {
 	if got := len(probe.robBacking); got > 16 {
 		t.Errorf("ROB slots lived in %d distinct backing arrays across %d sequences; freelist recycling requires a bounded set",
 			got, probe.robSeqs)
+	}
+}
+
+// residentProbe drives a tile whose output is never drained: eight random
+// full vectors, then one-lane vectors aimed at whichever lane still has
+// issue-queue room. It records the peak number of thread records resident
+// in the tile (issue queues plus pending and ready responses), sampling
+// at the start of each cycle the state the tile's previous tick left.
+type residentProbe struct {
+	tile *Tile
+	in   *sim.Link
+	rng  *rand.Rand
+	sent int
+	rr   int
+	peak int
+}
+
+func (p *residentProbe) Name() string       { return "residentprobe" }
+func (p *residentProbe) Done() bool         { return false }
+func (p *residentProbe) SharedState() []any { return []any{p.tile.mem} }
+func (p *residentProbe) Tick(c int64) {
+	if n := p.tile.nq + p.tile.pending.Len() + p.tile.ready.Len(); n > p.peak {
+		p.peak = n
+	}
+	if !p.in.CanPush() {
+		return
+	}
+	if p.sent < 8 {
+		v := p.in.StageVec(c)
+		for l := 0; l < record.NumLanes; l++ {
+			*v.PushRef() = record.Make(uint32(p.rng.Intn(1024)))
+		}
+		p.sent++
+		return
+	}
+	for i := 0; i < record.NumLanes; i++ {
+		lane := (p.rr + i) % record.NumLanes
+		if int(p.tile.laneOcc[lane]) < p.tile.cfg.IssueDepth {
+			v := p.in.StageVec(c)
+			v.Lane[lane] = record.Make(uint32(p.rng.Intn(1024)))
+			v.Mask = 1 << uint(lane)
+			p.rr = lane + 1
+			return
+		}
+	}
+}
+
+// TestTileResidentBoundHolds: ResidentBound is what the token-flow prover
+// sums into its occupancy totals, so no schedule may exceed it. Filling the
+// issue queues behind a blocked output drives ready+pending past 4×Lanes,
+// because allocate checks that gate before it grants up to one request per
+// lane in the same cycle.
+func TestTileResidentBoundHolds(t *testing.T) {
+	spec := Spec{
+		Op:    OpRead,
+		Width: 1,
+		Addr:  func(r *record.Rec) uint32 { return r.Get(0) },
+		Apply: func(r *record.Rec, resp []uint32) bool { return true },
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		sys := sim.NewSystem()
+		in := sys.NewLink("in", 8, 1)
+		out := sys.NewLink("out", 1, 1)
+		tile := NewTile(DefaultConfig("resident"), NewMem(16, 64, 0), spec, in, out, sys.Stats())
+		probe := &residentProbe{tile: tile, in: in, rng: rand.New(rand.NewSource(seed))}
+		sys.Add(probe)
+		sys.Add(tile)
+		_, _ = sys.Run(5000) // never completes: the output is never drained
+		if probe.peak > tile.ResidentBound() {
+			t.Errorf("seed %d: %d records resident, ResidentBound() = %d", seed, probe.peak, tile.ResidentBound())
+		}
 	}
 }
