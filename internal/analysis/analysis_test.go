@@ -178,6 +178,22 @@ func TestAllocBadFixture(t *testing.T) {
 	}
 }
 
+// TestCompleterRoots: a method with dram.Completer's signature is a
+// hot-path root — its own sites and its callees' are flagged — while a
+// Complete method of another signature is not walked.
+func TestCompleterRoots(t *testing.T) {
+	pkg := loadFixture(t, "completer")
+	fs := runAnalyzers(t, pkg, Hotalloc)
+	if got := countRule(fs, "hotalloc"); got != 2 {
+		t.Fatalf("hotalloc: got %d findings, want 2\n%v", got, fs)
+	}
+	for _, f := range fs {
+		if !strings.Contains(f.Msg, "via Node.Complete") {
+			t.Errorf("finding not rooted at Node.Complete: %v", f)
+		}
+	}
+}
+
 // TestAllocCleanFixture: the audited allocation-free surface — link and ring
 // ops, fixed-size records, in-place filtering, shrinking appends, cold panic
 // arguments, and a reviewed amortization waiver — passes without findings.

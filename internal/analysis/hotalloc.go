@@ -54,6 +54,9 @@ var knownAllocFree = map[string]bool{
 	"internal/ring.Queue.Drop": true, "internal/ring.Queue.DropN": true,
 	"internal/ring.Queue.PushRef": true, "internal/ring.Queue.PushRefDirty": true,
 	"internal/ring.Queue.Reset": true,
+	// ring.Slots arena ops (growth waived in slots.go).
+	"internal/ring.Slots.Alloc": true, "internal/ring.Slots.Release": true,
+	"internal/ring.Slots.At": true,
 	// sim.Link ring-buffer ops (fixed ring allocated at construction).
 	"internal/sim.Link.CanPush": true, "internal/sim.Link.Empty": true,
 	"internal/sim.Link.Peek": true, "internal/sim.Link.Pop": true,
@@ -84,6 +87,14 @@ var knownAllocFree = map[string]bool{
 	// reflect.TypeOf returns the interned rtype; the argument here is
 	// always a pointer, which boxes without allocating.
 	"reflect.TypeOf": true,
+	// The HBM's request path. In-flight reads live in a slot arena whose
+	// slots and data buffers are reused, the completion FIFOs are reserved
+	// at construction, and backing pages are allocated on first touch:
+	// each grows to a bound — the most reads in flight, the pages a run
+	// addresses — and then stays put. The dram package's AllocsPerRun test
+	// of a warmed read pins this at 0 allocations per request.
+	"internal/dram.HBM.SubmitAt": true, "internal/dram.HBM.Tick": true,
+	"internal/dram.HBM.ReadWord": true,
 }
 
 // interfaceContractMethods are dynamic calls the per-cycle loop makes
@@ -91,18 +102,21 @@ var knownAllocFree = map[string]bool{
 // implementations are themselves hot-path roots of this analyzer, so the
 // dispatch is not a blind spot — each concrete Tick/Idle body is walked
 // where it is defined.
+//
+// Complete is dram.Completer's: the HBM calls it when a request finishes,
+// and every implementation (a method Complete(int32, []uint32)) is a root.
 var interfaceContractMethods = map[string]bool{
 	"Tick": true, "Idle": true, "Done": true, "Drained": true, "Empty": true,
 	"CanPush": true, "WakeHint": true, "Name": true, "SharedState": true,
 	"InputLinks": true, "OutputLinks": true, "WorstCaseInternalLatency": true,
-	"HostsCallbacks": true, "Stats": true,
+	"HostsCallbacks": true, "Stats": true, "Complete": true,
 }
 
 // Hotalloc is the static half of the zero-allocation contract PR 5 enforces
 // dynamically with testing.AllocsPerRun: a memoized call-graph walk from the
-// hot-path roots — every component Tick, the sim.Link and ring.Queue
-// data-movement ops, and functions annotated "hot:path" (the wake
-// scheduler's per-cycle loop) — that flags the allocation sites Go hides in
+// hot-path roots — every component Tick, every dram.Completer's Complete,
+// the sim.Link and ring.Queue data-movement ops, and functions annotated
+// "hot:path" (the wake scheduler's per-cycle loop) — that flags the allocation sites Go hides in
 // plain syntax:
 //
 //   - make/new calls and slice/map composite literals;
@@ -202,10 +216,37 @@ func (aw *allocWalker) isRoot(fd *ast.FuncDecl) (bool, string) {
 	if fd.Name.Name == "Tick" && isComponentType(named) {
 		return true, named.Obj().Name() + "." + fd.Name.Name
 	}
+	if fd.Name.Name == "Complete" && isCompleter(aw.pass, fd) {
+		return true, named.Obj().Name() + "." + fd.Name.Name
+	}
 	if hotOpNames[fd.Name.Name] && hasPushPop(named) {
 		return true, named.Obj().Name() + "." + fd.Name.Name
 	}
 	return false, ""
+}
+
+// isCompleter reports whether fd has dram.Completer's signature,
+// Complete(int32, []uint32) with no results: the completion callback the
+// HBM invokes from its tick.
+func isCompleter(pass *Pass, fd *ast.FuncDecl) bool {
+	fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	if sig.Params().Len() != 2 || sig.Results().Len() != 0 {
+		return false
+	}
+	tag, ok := sig.Params().At(0).Type().Underlying().(*types.Basic)
+	if !ok || tag.Kind() != types.Int32 {
+		return false
+	}
+	data, ok := sig.Params().At(1).Type().Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	w, ok := data.Elem().Underlying().(*types.Basic)
+	return ok && w.Kind() == types.Uint32
 }
 
 // hasPushPop reports whether *T has both Push and Pop methods — the

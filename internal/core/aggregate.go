@@ -85,20 +85,23 @@ func HashAggregate(p HashTableParams, keys []uint32, hbm *dram.HBM) (*AggResult,
 	nodes := spad.NewMem(16, nodeBankWords, 2)
 	ht := &HashTable{Params: p, Heads: heads, Nodes: nodes, HBM: hbm}
 
-	// Threads are made full-width up front, so one schema covers the whole
-	// pipeline (field order matches the ag* constants).
+	// Threads are made full-width at the source, so one schema covers the
+	// whole pipeline (field order matches the ag* constants). The source
+	// makes each thread as it enters, and the sink only counts the threads
+	// that leave: the groups live in the table.
 	aggS := record.NewSchema("key", "ptr", "headSeen", "slot", "nkey", "nnext", "obs", "mark")
-
-	threads := make([]record.Rec, len(keys))
-	for i, k := range keys {
-		threads[i] = record.Make(k, 0, 0, Nil, 0, 0, 0, 0)
+	thread := record.Make(0, 0, 0, Nil, 0, 0, 0, 0)
+	newThread := func(i int) record.Rec {
+		r := thread
+		r.Put(agKey, keys[i])
+		return r
 	}
 
 	// Ingress: read the bucket head; the walk starts there.
 	src := g.Link("agg.src")
 	headIn := g.Link("agg.headIn")
 	ext := g.Link("agg.ext")
-	g.Add(fabric.NewSource("agg.in", threads, src).Typed(aggS))
+	g.Add(fabric.NewSourceFunc("agg.in", len(keys), newThread, src).Typed(aggS))
 	g.Add(fabric.NewMap("agg.hash", func(r *record.Rec) {
 		r.Put(agPtr, Hash32(r.Get(agKey))&(p.Buckets-1))
 	}, src, headIn).Typed(aggS, aggS))
@@ -181,7 +184,7 @@ func HashAggregate(p HashTableParams, keys []uint32, hbm *dram.HBM) (*AggResult,
 	sinkIn := g.Link("agg.sinkIn")
 	g.Add(fabric.NewFilter("agg.exit", func(*record.Rec) int { return 0 }, exitFilter,
 		[]fabric.Output{{Link: sinkIn, Exit: true}}, ctl).Cyclic().Typed(aggS))
-	snk := fabric.NewSink("agg.sink", sinkIn).Typed(aggS).Reserve(len(keys))
+	snk := fabric.NewSink("agg.sink", sinkIn).Typed(aggS).Discard()
 	g.Add(snk)
 
 	// Insert path: stamp a slot once, write [key, 0, next=headSeen], CAS

@@ -177,7 +177,7 @@ func ProbeHashTableInto(g *fabric.Graph, pf string, ht *HashTable, probes Stream
 	// Compare and continue: a matching node emits a match thread; a
 	// non-nil next continues the walk. A fork expresses "both".
 	forked := g.Link(pf + ".forked")
-	g.Add(fabric.NewFork(pf+".compare", func(r record.Rec) []record.Rec {
+	g.Add(fabric.NewFork(pf+".compare", func(r record.Rec, out []record.Rec) []record.Rec {
 		// Wide keys compare field-by-field — the serialized comparison of
 		// Gorgon's fields-in-time record layout.
 		match := true
@@ -185,7 +185,6 @@ func ProbeHashTableInto(g *fabric.Graph, pf string, ht *HashTable, probes Stream
 			match = match && r.Get(f.nkey+i) == r.Get(i)
 		}
 		cont := r.Get(f.nnext) != Nil && !(match && opt.FirstMatchOnly)
-		out := make([]record.Rec, 0, 2)
 		if match {
 			out = append(out, r.Set(f.mark, 1))
 		}

@@ -124,13 +124,13 @@ func mbr(ents []rtree.Entry) rtree.Rect {
 // expandJoinPair is the synchronized-descent fork: overlapping child pairs
 // become child threads; leaf×leaf overlaps become matches; when only one
 // side is a leaf, the other side descends alone against the leaf's MBR.
-func expandJoinPair(r record.Rec, blocks [][]uint32) []record.Rec {
+// Children are appended to out.
+func expandJoinPair(r record.Rec, blocks [][]uint32, out []record.Rec) []record.Rec {
 	leafA, entsA := nodeEnts(blocks[0])
 	leafB, entsB := nodeEnts(blocks[1])
 	if len(entsA) == 0 || len(entsB) == 0 {
-		return nil
+		return out
 	}
-	var out []record.Rec
 	switch {
 	case leafA && leafB:
 		for _, ea := range entsA {

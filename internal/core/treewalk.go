@@ -50,7 +50,7 @@ func BTreeSearchP(t *btree.Tree, queries []RangeQuery, tun Tuning, p int) ([]rec
 
 	sinks := make([]*fabric.Sink, p)
 	for k := 0; k < p; k++ {
-		var threads []record.Rec
+		threads := make([]record.Rec, 0, (len(queries)-k+p-1)/p)
 		for i := k; i < len(queries); i += p {
 			q := queries[i]
 			threads = append(threads, record.Make(q.Lo, q.Hi, t.Root, 0, 0, 0, q.Tag))
@@ -66,18 +66,28 @@ func BTreeSearchP(t *btree.Tree, queries []RangeQuery, tun Tuning, p int) ([]rec
 	if err != nil {
 		return nil, res, fmt.Errorf("btree search: %w", err)
 	}
-	var out []record.Rec
+	return concatSinks(sinks), res, nil
+}
+
+// concatSinks joins the pipelines' outputs, in pipeline order, into one
+// slice sized to their summed counts.
+func concatSinks(sinks []*fabric.Sink) []record.Rec {
+	n := 0
+	for _, snk := range sinks {
+		n += snk.Count()
+	}
+	out := make([]record.Rec, 0, n)
 	for _, snk := range sinks {
 		out = append(out, snk.Records()...)
 	}
-	return out, res, nil
+	return out
 }
 
 // wireTreeWalk assembles one recirculating fetch-and-fork pipeline: loop
 // merge, DRAM expand, route filter, DRAM spill queue on the cyclic path,
 // and a projection into the result sink.
 func wireTreeWalk(g *fabric.Graph, pf string, threads []record.Rec, nodeWidth int,
-	addr func(record.Rec) uint32, expand func(record.Rec, []uint32) []record.Rec,
+	addr func(record.Rec) uint32, expand func(r record.Rec, node []uint32, out []record.Rec) []record.Rec,
 	markField int, project func(*record.Rec), spillSlot uint32) *fabric.Sink {
 
 	ctl := fabric.NewLoopCtl()
@@ -91,7 +101,7 @@ func wireTreeWalk(g *fabric.Graph, pf string, threads []record.Rec, nodeWidth in
 	g.Add(fabric.NewSource(pf+".in", threads, ext))
 	g.Add(fabric.NewLoopMerge(pf+".entry", recircQ, ext, body, ctl))
 	fabric.NewDRAMExpand(g, pf+".fetch", []fabric.Leg{{Width: nodeWidth, Addr: addr}},
-		func(r record.Rec, blocks [][]uint32) []record.Rec { return expand(r, blocks[0]) },
+		func(r record.Rec, blocks [][]uint32, out []record.Rec) []record.Rec { return expand(r, blocks[0], out) },
 		ctl, body, walked)
 	g.Add(fabric.NewFilter(pf+".route", func(r *record.Rec) int {
 		if r.Get(markField) == 1 {
@@ -113,15 +123,15 @@ func wireTreeWalk(g *fabric.Graph, pf string, threads []record.Rec, nodeWidth in
 
 // expandBTreeNode is the fork function of the B-tree walk: internal nodes
 // spawn one child thread per subtree whose key range can intersect the
-// query; leaves spawn one result thread per matching entry.
-func expandBTreeNode(r record.Rec, node []uint32) []record.Rec {
+// query; leaves spawn one result thread per matching entry. Children are
+// appended to out.
+func expandBTreeNode(r record.Rec, node []uint32, out []record.Rec) []record.Rec {
 	lo, hi := r.Get(btLo), r.Get(btHi)
 	hdr := node[0]
 	n := int(hdr >> 1)
 	isLeaf := hdr&1 == 1
 	keys := node[1 : 1+btree.Fanout]
 	vals := node[1+btree.Fanout : 1+2*btree.Fanout]
-	var out []record.Rec
 	if isLeaf {
 		for i := 0; i < n; i++ {
 			if keys[i] >= lo && keys[i] <= hi {
@@ -192,7 +202,7 @@ func RTreeWindowP(t *rtree.Tree, queries []WindowQuery, tun Tuning, p int) ([]re
 
 	sinks := make([]*fabric.Sink, p)
 	for k := 0; k < p; k++ {
-		var threads []record.Rec
+		threads := make([]record.Rec, 0, (len(queries)-k+p-1)/p)
 		for i := k; i < len(queries); i += p {
 			q := queries[i]
 			threads = append(threads, record.Make(q.Rect.MinX, q.Rect.MinY, q.Rect.MaxX, q.Rect.MaxY, t.Root, 0, 0, q.Tag))
@@ -208,22 +218,17 @@ func RTreeWindowP(t *rtree.Tree, queries []WindowQuery, tun Tuning, p int) ([]re
 	if err != nil {
 		return nil, res, fmt.Errorf("rtree window: %w", err)
 	}
-	var out []record.Rec
-	for _, snk := range sinks {
-		out = append(out, snk.Records()...)
-	}
-	return out, res, nil
+	return concatSinks(sinks), res, nil
 }
 
 // expandRTreeNode forks a window-query thread down every child whose
 // bounding rectangle intersects the query; leaf entries that intersect
-// become result threads.
-func expandRTreeNode(r record.Rec, node []uint32) []record.Rec {
+// become result threads. Children are appended to out.
+func expandRTreeNode(r record.Rec, node []uint32, out []record.Rec) []record.Rec {
 	q := rtree.Rect{MinX: r.Get(rtMinX), MinY: r.Get(rtMinY), MaxX: r.Get(rtMaxX), MaxY: r.Get(rtMaxY)}
 	hdr := node[0]
 	n := int(hdr >> 1)
 	isLeaf := hdr&1 == 1
-	var out []record.Rec
 	for i := 0; i < n; i++ {
 		w := 1 + i*5
 		e := rtree.Rect{MinX: node[w], MinY: node[w+1], MaxX: node[w+2], MaxY: node[w+3]}

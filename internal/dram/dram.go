@@ -73,24 +73,49 @@ func (c Config) PeakBytesPerCycle() float64 {
 }
 
 // Request is one memory operation: Words 32-bit words at word address Addr.
-// Done fires at completion with the read data (nil for writes).
+// At completion the model calls To.Complete(Tag, data) — the tagged path
+// every fabric node uses — or, when To is nil, Done(data): the untagged
+// path kept for drivers and tests that build requests by hand. Reads
+// complete with the read data; posted writes complete inside SubmitAt with
+// nil. Either way data is borrowed (see Completer).
 type Request struct {
 	Addr  uint32
 	Words int
 	Write bool
 	Data  []uint32
+	To    Completer
+	Tag   int32
 	Done  func(data []uint32)
 }
 
+// Completer receives request completions by tag. An issuing node keeps its
+// per-request state in a slot arena of its own and encodes the slot in the
+// tag, so a request costs no closure and no per-request allocation.
+//
+// data is borrowed: it belongs to the HBM's request slot and is valid only
+// until Complete returns, after which the model reuses it for a later
+// request. Complete may copy it, or submit new requests, but must not keep
+// it.
+type Completer interface {
+	Complete(tag int32, data []uint32)
+}
+
+// burst is one burst-sized piece of a request in a channel queue. req is
+// the read's slot in HBM.reqs, or -1 for a write-buffer eviction.
 type burst struct {
-	req       *pendingReq
+	req       int32
 	addr      uint32 // word address of burst start
 	bank, row int
 }
 
+// pendingReq is an in-flight read. Its slot in HBM.reqs, and the data
+// buffer the slot owns, are reused once the read has completed.
 type pendingReq struct {
-	req       Request
+	addr      uint32
 	remaining int
+	to        Completer
+	tag       int32
+	done      func(data []uint32)
 	data      []uint32
 }
 
@@ -192,6 +217,11 @@ type HBM struct {
 	issued   int64 // issue sequence number of the next burst
 	now      int64
 	need     []int // scratch for SubmitAt's per-channel reservation tally
+
+	// reqs is the slot arena of in-flight reads. Slots, and the data
+	// buffers they own, are reused, so it grows only until it covers the
+	// most reads ever in flight.
+	reqs ring.Slots[pendingReq]
 
 	// Stats
 	ReadBursts  int64
@@ -347,16 +377,24 @@ func (h *HBM) SubmitAt(now int64, req Request) bool {
 			ch, _, _ := h.locate(addr)
 			h.postWrite(h.chans[ch], addr, now)
 		}
-		if req.Done != nil {
+		if req.To != nil {
+			req.To.Complete(req.Tag, nil)
+		} else if req.Done != nil {
 			req.Done(nil)
 		}
 		return true
 	}
-	p := &pendingReq{req: req, remaining: n, data: make([]uint32, req.Words)}
+	slot := h.reqs.Alloc()
+	p := h.reqs.At(slot)
+	p.addr, p.remaining, p.to, p.tag, p.done = req.Addr, n, req.To, req.Tag, req.Done
+	if cap(p.data) < req.Words {
+		p.data = make([]uint32, req.Words)
+	}
+	p.data = p.data[:req.Words]
 	for b := first; b <= last; b++ {
 		addr := b << h.burstShift
 		ch, bank, row := h.locate(addr)
-		h.chans[ch].queue.Push(burst{req: p, addr: addr, bank: bank, row: row})
+		h.chans[ch].queue.Push(burst{req: slot, addr: addr, bank: bank, row: row})
 	}
 	return true
 }
@@ -391,7 +429,7 @@ func (h *HBM) postWrite(c *channel, addr uint32, now int64) {
 func (h *HBM) evictWrite(c *channel, i int) {
 	addr := c.wb.remove(i)
 	_, bank, row := h.locate(addr)
-	c.queue.Push(burst{req: nil, addr: addr, bank: bank, row: row})
+	c.queue.Push(burst{req: -1, addr: addr, bank: bank, row: row})
 }
 
 // completion is an issued burst: due at cycle at, seq-th in issue order.
@@ -450,25 +488,36 @@ func (h *HBM) retire(cycle int64) {
 }
 
 func (h *HBM) finishBurst(b burst) {
-	if b.req == nil {
+	if b.req < 0 {
 		// A write-buffer eviction: pure timing traffic.
 		h.WriteBursts++
 		return
 	}
 	// Only reads are queued with a request: posted writes are acknowledged
 	// at submit and reach the queue as evictions.
-	p := b.req
-	req := &p.req
-	lo := max(b.addr, req.Addr)
-	hi := min(b.addr+uint32(h.cfg.BurstWords), req.Addr+uint32(req.Words))
+	p := h.reqs.At(b.req)
+	end := p.addr + uint32(len(p.data))
+	lo := max(b.addr, p.addr)
+	hi := min(b.addr+uint32(h.cfg.BurstWords), end)
 	// A burst never straddles a page: both are power-of-two aligned.
 	off := lo % pageWords
-	copy(p.data[lo-req.Addr:hi-req.Addr], h.page(lo)[off:off+(hi-lo)])
+	copy(p.data[lo-p.addr:hi-p.addr], h.page(lo)[off:off+(hi-lo)])
 	h.ReadBursts++
 	p.remaining--
-	if p.remaining == 0 && req.Done != nil {
-		req.Done(p.data)
+	if p.remaining > 0 {
+		return
 	}
+	// The callback may submit, which can grow h.reqs and move p: read the
+	// slot out first and index the arena again afterwards.
+	to, tag, done, data := p.to, p.tag, p.done, p.data
+	if to != nil {
+		to.Complete(tag, data)
+	} else if done != nil {
+		done(data)
+	}
+	q := h.reqs.At(b.req)
+	q.to, q.done = nil, nil
+	h.reqs.Release(b.req)
 }
 
 // ResetClock rebases the model's absolute-cycle state to zero so a new

@@ -569,14 +569,16 @@ func (m *Merge) maybeEOS(cycle int64) {
 
 // Fork spawns child threads from each parent record — the primitive that
 // lets a search walk multiple paths through a tree simultaneously. The
-// expansion function returns the children (possibly none, killing the
-// parent). Inside a loop, the net thread-count change is reported to ctl.
+// expansion function appends the children (possibly none, killing the
+// parent) to a buffer the fork owns and reuses. Inside a loop, the net
+// thread-count change is reported to ctl.
 type Fork struct {
 	name string
 	in   *sim.Link
 	out  *sim.Link
-	fn   func(record.Rec) []record.Rec
+	fn   func(r record.Rec, out []record.Rec) []record.Rec
 	ctl  *LoopCtl
+	kids []record.Rec // reused child buffer fn appends into
 
 	buf      ring.Queue[timedRec]
 	eosIn    bool
@@ -591,8 +593,10 @@ type timedRec struct {
 	ready int64
 }
 
-// NewFork builds a fork tile. ctl may be nil outside loops.
-func NewFork(name string, fn func(record.Rec) []record.Rec, in, out *sim.Link, ctl *LoopCtl) *Fork {
+// NewFork builds a fork tile. fn appends r's children to out and returns
+// it; out is empty on entry and is the fork's to reuse once fn returns.
+// ctl may be nil outside loops.
+func NewFork(name string, fn func(r record.Rec, out []record.Rec) []record.Rec, in, out *sim.Link, ctl *LoopCtl) *Fork {
 	return &Fork{name: name, fn: fn, in: in, out: out, ctl: ctl}
 }
 
@@ -679,18 +683,24 @@ func (f *Fork) Tick(cycle int64) {
 				if !fl.Vec.Valid(i) {
 					continue
 				}
-				children := f.fn(fl.Vec.Lane[i])
-				if f.ctl != nil {
-					f.ctl.Spawn(len(children) - 1)
-				}
-				for _, c := range children {
-					*f.buf.PushRef() = timedRec{r: c, ready: cycle + PipelineDepth}
-				}
+				f.fork(&fl.Vec.Lane[i], cycle)
 			}
 		}
 	}
 	if f.eosIn && !f.eos && f.buf.Len() == 0 && f.out.CanPush() {
 		f.out.PushEOS(cycle)
 		f.eos = true
+	}
+}
+
+// fork expands one parent into the expansion buffer; its children mature
+// after the pipeline depth.
+func (f *Fork) fork(r *record.Rec, cycle int64) {
+	f.kids = f.fn(*r, f.kids[:0])
+	if f.ctl != nil {
+		f.ctl.Spawn(len(f.kids) - 1)
+	}
+	for i := range f.kids {
+		*f.buf.PushRef() = timedRec{r: f.kids[i], ready: cycle + PipelineDepth}
 	}
 }

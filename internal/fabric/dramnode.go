@@ -33,9 +33,21 @@ type DRAMNode struct {
 	eosIn          bool
 	eos            bool
 
-	wdata []uint32 // scratch for write payloads (consumed synchronously by SubmitAt)
+	// slots holds each in-flight request's thread and, for FAA/CAS, the
+	// word it responds with; a request's tag is its slot.
+	slots ring.Slots[dramSlot]
+
+	wdata []uint32  // scratch for write payloads (consumed synchronously by SubmitAt)
+	word  [1]uint32 // scratch for FAA/CAS payloads
 
 	stallCnt, reqCnt, dropCnt *sim.Counter
+}
+
+// dramSlot is one in-flight DRAMNode request.
+type dramSlot struct {
+	r    record.Rec
+	resp [1]uint32 // the old word an FAA/CAS responds with
+	rmw  bool      // respond with resp instead of the completion's data
 }
 
 // NewDRAMNode builds a DRAM access node on graph g.
@@ -121,64 +133,56 @@ func (d *DRAMNode) Tick(cycle int64) {
 
 // submit pushes backlogged records into the memory system, stalling when
 // the response side backs up (bounded buffering, like the scratchpad's
-// response compactor).
-//
-// lint:hotalloc-ok — the per-request payload slices and completion closures
-// escape into the HBM callback and live until the response returns; one
-// small allocation per DRAM request is amortized over the multi-ten-cycle
-// round trip, and the write scratch (d.wdata) is cap-guarded reuse.
+// response compactor). Each request's thread waits in a slot of the node's
+// arena, and the HBM completes it by tag.
 func (d *DRAMNode) submit(cycle int64) {
 	for d.backlog.Len() > 0 && d.outstanding < d.maxOutstanding &&
 		d.ready.Len()+d.outstanding < 8*record.NumLanes {
-		r := *d.backlog.Front()
+		r := d.backlog.Front()
 		w := d.width()
-		addr := d.spec.Addr(&r)
-		req := dram.Request{Addr: addr, Words: w}
+		addr := d.spec.Addr(r)
+		req := dram.Request{Addr: addr, Words: w, To: d}
+		var resp uint32
+		rmw := false
 		switch d.spec.Op {
 		case spad.OpWrite:
 			// SubmitAt consumes write payloads synchronously, so the
 			// scratch buffer is safe to reuse across records.
 			if cap(d.wdata) < w {
-				d.wdata = make([]uint32, w)
+				d.wdata = make([]uint32, w) // lint:hotalloc-ok cap-guarded scratch, allocates until the widest record is covered
 			}
 			data := d.wdata[:w]
 			for i := 0; i < w; i++ {
-				data[i] = d.spec.Data(&r, i)
+				data[i] = d.spec.Data(r, i)
 			}
 			req.Write = true
 			req.Data = data
 		case spad.OpRead:
 			// nothing extra
-		case spad.OpFAA:
-			// Atomic at the memory controller: mutate functionally now
-			// (submissions are serialized), respond after the round trip.
-			old := d.h.ReadWord(addr)
-			d.h.WriteWord(addr, old+d.spec.Data(&r, 0))
-			req.Write = true
-			req.Data = []uint32{old + d.spec.Data(&r, 0)}
-			rr := r
-			prev := old
-			req.Done = d.completer(rr, []uint32{prev})
-		case spad.OpCAS:
-			cur := d.h.ReadWord(addr)
-			if cur == d.spec.Data(&r, 0) {
-				d.h.WriteWord(addr, d.spec.Data(&r, 1))
+		case spad.OpFAA, spad.OpCAS:
+			// Atomic at the memory controller: the new word is computed
+			// now (submissions are serialized) and written only by an
+			// accepted SubmitAt, so a refused submit has no side effect;
+			// the old word is the response after the round trip.
+			resp = d.h.ReadWord(addr)
+			switch {
+			case d.spec.Op == spad.OpFAA:
+				d.word[0] = resp + d.spec.Data(r, 0)
+			case resp == d.spec.Data(r, 0):
+				d.word[0] = d.spec.Data(r, 1)
+			default:
+				d.word[0] = resp // a failed CAS writes the word back unchanged
 			}
 			req.Write = true
-			req.Data = []uint32{d.h.ReadWord(addr)}
-			req.Done = d.completer(r, []uint32{cur})
+			req.Data = d.word[:]
+			rmw = true
 		default:
 			panic("fabric: dram node op not implemented: " + d.spec.Op.String())
 		}
-		if req.Done == nil {
-			rr := r
-			if req.Write {
-				req.Done = func([]uint32) { d.complete(rr, nil) }
-			} else {
-				req.Done = func(data []uint32) { d.complete(rr, data) }
-			}
-		}
+		req.Tag = d.slots.Alloc()
+		*d.slots.At(req.Tag) = dramSlot{r: *r, resp: [1]uint32{resp}, rmw: rmw}
 		if !d.h.SubmitAt(cycle, req) {
+			d.slots.Release(req.Tag)
 			d.stallCnt.Add(1)
 			return
 		}
@@ -188,31 +192,28 @@ func (d *DRAMNode) submit(cycle int64) {
 	}
 }
 
-// completer binds one response to the completion path.
-//
-// lint:hotalloc-ok — one closure per atomic request, amortized over the
-// DRAM round trip (see submit).
-func (d *DRAMNode) completer(r record.Rec, resp []uint32) func([]uint32) {
-	return func([]uint32) { d.complete(r, resp) }
-}
-
-// complete applies the response to the thread and queues it for output. It
-// runs inside the HBM's tick (the completion callback fires when the
-// controller retires the request), and DRAMNode declares that HBM via
-// SharedState — so the kernel's partner-tick wake channel re-examines this
-// node's Idle on every HBM tick and the mutations below cannot strand a
-// sleeping node.
-func (d *DRAMNode) complete(r record.Rec, resp []uint32) {
+// Complete implements dram.Completer: it applies the response to the
+// request's thread and queues it for output. It runs inside the HBM's tick
+// for reads and inside SubmitAt for writes, and DRAMNode declares that HBM
+// via SharedState — so the kernel's partner-tick wake channel re-examines
+// this node's Idle on every HBM tick and the mutations below cannot strand
+// a sleeping node.
+func (d *DRAMNode) Complete(tag int32, data []uint32) {
 	d.outstanding-- // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
+	s := d.slots.At(tag)
+	if s.rmw {
+		data = s.resp[:]
+	}
 	keep := true
 	if d.spec.Apply != nil {
-		keep = d.spec.Apply(&r, resp)
+		keep = d.spec.Apply(&s.r, data)
 	}
 	if keep {
-		*d.ready.PushRefDirty() = r // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
+		*d.ready.PushRefDirty() = s.r // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
 	} else {
 		d.dropCnt.Add(1)
 	}
+	d.slots.Release(tag)
 }
 
 // accept pulls one input vector into the backlog.

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"fmt"
+
 	"aurochs/internal/dram"
 	"aurochs/internal/record"
 	"aurochs/internal/ring"
@@ -19,7 +21,7 @@ type DRAMExpand struct {
 	name   string
 	h      *dram.HBM
 	legs   []Leg
-	expand func(record.Rec, [][]uint32) []record.Rec
+	expand func(r record.Rec, blocks [][]uint32, out []record.Rec) []record.Rec
 	ctl    *LoopCtl
 	in     *sim.Link
 	out    *sim.Link
@@ -31,7 +33,12 @@ type DRAMExpand struct {
 	ready          ring.Queue[record.Rec]
 	eosIn          bool
 	eos            bool
-	one            [1][]uint32 // reused block list: a single-leg completion allocates only its closure
+
+	// slots holds each in-flight thread's fetch state; a leg's request
+	// tag is slot<<legBits | leg.
+	slots ring.Slots[expandSlot]
+	one   [1][]uint32  // block list of a single-leg completion
+	kids  []record.Rec // reused child buffer the expand function appends into
 
 	stallCnt, fetchCnt *sim.Counter
 }
@@ -42,27 +49,36 @@ type Leg struct {
 	Addr  func(record.Rec) uint32
 }
 
-// expandFetch joins the legs of one multi-block fetch: expansion runs
-// once every block has arrived.
-type expandFetch struct {
+// expandSlot is one in-flight thread. A multi-leg fetch copies each leg
+// into blocks, which the slot owns and reuses, and expands once every leg
+// has arrived; a single-leg fetch expands straight from the HBM's buffer.
+type expandSlot struct {
 	r       record.Rec
-	blocks  [][]uint32
 	arrived int
+	blocks  [][]uint32
 }
+
+// legBits is the tag's leg field width: a node fetches at most 1<<legBits
+// blocks per thread.
+const legBits = 4
 
 // maxExpandBlocks bounds the blocks a DRAMExpand keeps in flight; a node
 // fetching k blocks per thread admits maxExpandBlocks/k threads.
 const maxExpandBlocks = 64
 
 // NewDRAMExpand builds the node. Each thread fetches one block per leg;
-// expand receives the thread and the fetched blocks, in leg order, and
-// returns the child threads (an empty slice kills the parent). The blocks
-// are valid only for the duration of the call. ctl must be the enclosing
+// expand receives the thread and the fetched blocks, in leg order, appends
+// the child threads to out and returns it (appending none kills the
+// parent). out is a buffer the node owns and reuses, and the blocks are
+// valid only for the duration of the call. ctl must be the enclosing
 // loop's control when the node sits inside a cyclic pipeline.
 func NewDRAMExpand(g *Graph, name string, legs []Leg,
-	expand func(r record.Rec, blocks [][]uint32) []record.Rec, ctl *LoopCtl, in, out *sim.Link) *DRAMExpand {
+	expand func(r record.Rec, blocks [][]uint32, out []record.Rec) []record.Rec, ctl *LoopCtl, in, out *sim.Link) *DRAMExpand {
 	if g.HBM == nil {
 		g.defectf(DiagNoHBM, "node %q accesses DRAM but the graph has no HBM attached (call AttachHBM first)", name)
+	}
+	if len(legs) == 0 || len(legs) > 1<<legBits {
+		panic(fmt.Sprintf("fabric: dram expand %s: %d legs, want 1..%d", name, len(legs), 1<<legBits))
 	}
 	n := &DRAMExpand{
 		name: name, h: g.HBM, legs: legs, expand: expand,
@@ -115,33 +131,47 @@ func (d *DRAMExpand) WakeHint(int64) int64 { return sim.WakeNever }
 
 // Tick implements sim.Component.
 func (d *DRAMExpand) Tick(cycle int64) {
-	// Emit matured children, one dense vector per cycle.
-	if d.ready.Len() > 0 && d.out.CanPush() {
-		n := d.ready.Len()
-		if n > record.NumLanes {
-			n = record.NumLanes
-		}
-		v := d.out.StageVec(cycle)
-		for i := 0; i < n; i++ {
-			*v.PushRef() = *d.ready.Front()
-			d.ready.Drop()
-		}
+	d.emit(cycle)
+	d.submit(cycle)
+	d.accept()
+	// Forward EOS once drained.
+	if d.eosIn && !d.eos && d.backlog.Len() == 0 && d.outstanding == 0 && d.ready.Len() == 0 && d.out.CanPush() {
+		d.out.PushEOS(cycle)
+		d.eos = true
 	}
-	// Submit fetches, one request per leg.
+}
+
+// emit sends matured children, one dense vector per cycle.
+func (d *DRAMExpand) emit(cycle int64) {
+	if d.ready.Len() == 0 || !d.out.CanPush() {
+		return
+	}
+	n := min(d.ready.Len(), record.NumLanes)
+	v := d.out.StageVec(cycle)
+	for i := 0; i < n; i++ {
+		*v.PushRef() = *d.ready.Front()
+		d.ready.Drop()
+	}
+}
+
+// submit issues fetches, one request per leg, each tagged with the
+// thread's slot and its leg.
+func (d *DRAMExpand) submit(cycle int64) {
 	for d.backlog.Len() > 0 && d.outstanding < d.maxOutstanding && d.ready.Len() < 8*record.NumLanes {
-		r := *d.backlog.Front()
-		var f *expandFetch
-		if len(d.legs) > 1 {
-			f = &expandFetch{r: r, blocks: make([][]uint32, len(d.legs))} // lint:hotalloc-ok per-thread join state, amortized over the DRAM round trip
-		}
+		r := d.backlog.Front()
+		slot := d.slots.Alloc()
+		s := d.slots.At(slot)
+		s.r, s.arrived = *r, 0
 		sent := 0
-		for j, leg := range d.legs {
-			if !d.h.SubmitAt(cycle, dram.Request{Addr: leg.Addr(r), Words: leg.Width, Done: d.completer(r, f, j)}) {
+		for j := range d.legs {
+			leg := &d.legs[j]
+			if !d.h.SubmitAt(cycle, dram.Request{Addr: leg.Addr(*r), Words: leg.Width, To: d, Tag: slot<<legBits | int32(j)}) {
 				break
 			}
 			sent++
 		}
 		if sent == 0 {
+			d.slots.Release(slot)
 			d.stallCnt.Add(1)
 			break
 		}
@@ -151,56 +181,73 @@ func (d *DRAMExpand) Tick(cycle int64) {
 			// one stall.
 			d.stallCnt.Add(1)
 			for m := sent; m < len(d.legs); m++ {
-				f.arrive(m, d.h.SnapshotWords(d.legs[m].Addr(r), d.legs[m].Width))
+				leg := &d.legs[m]
+				b := s.block(m, len(d.legs), leg.Width)
+				addr := leg.Addr(*r)
+				for i := range b {
+					b[i] = d.h.ReadWord(addr + uint32(i))
+				}
+				s.arrived++
 			}
 		}
 		d.outstanding++
 		d.backlog.Drop()
 		d.fetchCnt.Add(1)
 	}
-	// Accept input.
-	if !d.eosIn && !d.in.Empty() && d.backlog.Len() <= 2*record.NumLanes {
-		f := d.in.Peek()
-		d.in.Drop()
-		if f.EOS {
-			d.eosIn = true
-		} else {
-			for i := 0; i < record.NumLanes; i++ {
-				if f.Vec.Mask&(1<<uint(i)) != 0 {
-					*d.backlog.PushRefDirty() = f.Vec.Lane[i]
-				}
-			}
-		}
-	}
-	// Forward EOS once drained.
-	if d.eosIn && !d.eos && d.backlog.Len() == 0 && d.outstanding == 0 && d.ready.Len() == 0 && d.out.CanPush() {
-		d.out.PushEOS(cycle)
-		d.eos = true
-	}
 }
 
-// completer returns the completion callback of leg j of thread r's fetch,
-// one closure per block, amortized over the DRAM round trip. A single-leg
-// fetch (f == nil) needs no join state.
-func (d *DRAMExpand) completer(r record.Rec, f *expandFetch, j int) func([]uint32) {
-	if f == nil {
-		return func(data []uint32) { // lint:hotalloc-ok per-request closure, amortized over the DRAM round trip
-			d.one[0] = data
-			d.complete(r, d.one[:])
-		}
+// accept pulls one input vector into the backlog.
+func (d *DRAMExpand) accept() {
+	if d.eosIn || d.in.Empty() || d.backlog.Len() > 2*record.NumLanes {
+		return
 	}
-	return func(data []uint32) { // lint:hotalloc-ok per-request closure, amortized over the DRAM round trip
-		if f.arrive(j, data) {
-			d.complete(f.r, f.blocks)
+	f := d.in.Peek()
+	d.in.Drop()
+	if f.EOS {
+		d.eosIn = true
+		return
+	}
+	for i := 0; i < record.NumLanes; i++ {
+		if f.Vec.Mask&(1<<uint(i)) != 0 {
+			*d.backlog.PushRefDirty() = f.Vec.Lane[i]
 		}
 	}
 }
 
-// arrive records block j and reports whether every block is now in.
-func (f *expandFetch) arrive(j int, data []uint32) bool {
-	f.blocks[j] = data
-	f.arrived++
-	return f.arrived == len(f.blocks)
+// block returns the slot's owned buffer for leg j, sized to width words.
+//
+// lint:hotalloc-ok — allocates only until each slot's buffers cover every
+// leg's width, then reuses them.
+func (s *expandSlot) block(j, legs, width int) []uint32 {
+	if s.blocks == nil {
+		s.blocks = make([][]uint32, legs)
+	}
+	if cap(s.blocks[j]) < width {
+		s.blocks[j] = make([]uint32, width)
+	}
+	s.blocks[j] = s.blocks[j][:width]
+	return s.blocks[j]
+}
+
+// Complete implements dram.Completer for leg tag&(1<<legBits-1) of the
+// thread in slot tag>>legBits. A single-leg thread expands straight from
+// the borrowed block; a multi-leg thread copies the leg into its slot and
+// expands once every leg is in.
+func (d *DRAMExpand) Complete(tag int32, data []uint32) {
+	slot := tag >> legBits
+	s := d.slots.At(slot)
+	if len(d.legs) == 1 {
+		d.one[0] = data
+		d.complete(s.r, d.one[:])
+	} else {
+		copy(s.block(int(tag&(1<<legBits-1)), len(d.legs), len(data)), data)
+		s.arrived++
+		if s.arrived < len(d.legs) {
+			return
+		}
+		d.complete(s.r, s.blocks)
+	}
+	d.slots.Release(slot)
 }
 
 // complete expands a thread whose blocks have all arrived. It runs inside
@@ -208,11 +255,11 @@ func (f *expandFetch) arrive(j int, data []uint32) bool {
 // via SharedState, so the partner-tick wake re-examines this node's Idle.
 func (d *DRAMExpand) complete(r record.Rec, blocks [][]uint32) {
 	d.outstanding-- // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
-	children := d.expand(r, blocks)
+	d.kids = d.expand(r, blocks, d.kids[:0])
 	if d.ctl != nil {
-		d.ctl.Spawn(len(children) - 1)
+		d.ctl.Spawn(len(d.kids) - 1)
 	}
-	for _, c := range children {
-		*d.ready.PushRefDirty() = c // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
+	for i := range d.kids {
+		*d.ready.PushRefDirty() = d.kids[i] // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
 	}
 }

@@ -1,11 +1,13 @@
 package fabric
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
 	"aurochs/internal/dram"
 	"aurochs/internal/record"
+	"aurochs/internal/sim"
 	"aurochs/internal/spad"
 )
 
@@ -51,6 +53,48 @@ func TestSourceMapSink(t *testing.T) {
 	// 100 records = 7 vectors; pipeline+links add tens of cycles, not thousands.
 	if cycles > 200 {
 		t.Errorf("linear pipeline took %d cycles for 7 vectors", cycles)
+	}
+}
+
+// TestSourceFuncDiscardSink: a generator source streams the same vectors,
+// in the same cycles, as a source over the materialized records, and a
+// discarding sink counts what a keeping sink collects without keeping it.
+func TestSourceFuncDiscardSink(t *testing.T) {
+	const n = 100
+	recs := seqRecs(n)
+	run := func(src func(out *sim.Link) *Source, discard bool) (*Sink, int64) {
+		g := NewGraph()
+		a, b := g.Link("a"), g.Link("b")
+		g.Add(src(a))
+		g.Add(NewMap("double", func(r *record.Rec) { r.Put(0, r.Get(0)*2) }, a, b))
+		snk := NewSink("snk", b)
+		if discard {
+			snk.Discard()
+		}
+		g.Add(snk)
+		if supply := g.FlowNet().Nodes[0].Supply; supply != n {
+			t.Fatalf("flow-net supply %d, want %d", supply, n)
+		}
+		cycles, err := g.Run(100_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snk, cycles
+	}
+	fromSlice := func(out *sim.Link) *Source { return NewSource("src", recs, out) }
+	fromFunc := func(out *sim.Link) *Source {
+		return NewSourceFunc("src", n, func(i int) record.Rec { return record.Make(uint32(i)) }, out)
+	}
+	want, wantCycles := run(fromSlice, false)
+	got, cycles := run(fromFunc, false)
+	if cycles != wantCycles || !reflect.DeepEqual(got.Records(), want.Records()) {
+		t.Fatalf("generator source: %d cycles, records %v; slice source: %d cycles, records %v",
+			cycles, got.Records(), wantCycles, want.Records())
+	}
+	dropped, cycles := run(fromFunc, true)
+	if cycles != wantCycles || dropped.Count() != n || len(dropped.Records()) != 0 {
+		t.Fatalf("discarding sink: %d cycles, count %d, kept %d; want %d cycles, count %d, kept 0",
+			cycles, dropped.Count(), len(dropped.Records()), wantCycles, n)
 	}
 }
 
@@ -141,8 +185,8 @@ func TestForkExpands(t *testing.T) {
 	g := NewGraph()
 	in, out := g.Link("in"), g.Link("out")
 	g.Add(NewSource("src", seqRecs(20), in))
-	g.Add(NewFork("fork3", func(r record.Rec) []record.Rec {
-		return []record.Rec{r, r, r}
+	g.Add(NewFork("fork3", func(r record.Rec, out []record.Rec) []record.Rec {
+		return append(out, r, r, r)
 	}, in, out, nil))
 	snk := NewSink("snk", out)
 	g.Add(snk)
@@ -217,13 +261,13 @@ func TestLoopWithForkInside(t *testing.T) {
 	roots := []record.Rec{record.Make(1, 3), record.Make(2, 4)} // depths 3, 4
 	g.Add(NewSource("src", roots, ext))
 	g.Add(NewLoopMerge("entry", recirc, ext, body, ctl))
-	g.Add(NewFork("split", func(r record.Rec) []record.Rec {
+	g.Add(NewFork("split", func(r record.Rec, out []record.Rec) []record.Rec {
 		d := r.Get(1)
 		if d == 0 {
-			return []record.Rec{r}
+			return append(out, r)
 		}
 		c := r.Set(1, d-1)
-		return []record.Rec{c, c}
+		return append(out, c, c)
 	}, body, forked, ctl))
 	g.Add(NewFilter("leaf?", func(r *record.Rec) int {
 		if r.Get(1) == 0 {

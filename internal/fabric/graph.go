@@ -161,8 +161,8 @@ func (c *hbmComponent) WakeHint(cycle int64) int64 {
 // the same worker.
 func (c *hbmComponent) SharedState() []any { return []any{c.h} }
 
-// HostsCallbacks implements sim.CallbackHost: this tick fires Done closures
-// owned by submitting nodes, whose side effects can reach state those nodes
+// HostsCallbacks implements sim.CallbackHost: this tick calls the Complete
+// method of each submitting node, whose side effects can reach state those nodes
 // share under other keys (e.g. a DRAMExpand adjusting its LoopCtl when an
 // expansion kills a thread). The scheduler widens the wake set accordingly.
 func (c *hbmComponent) HostsCallbacks() {}

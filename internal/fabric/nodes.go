@@ -9,20 +9,33 @@ import (
 	"aurochs/internal/sim"
 )
 
-// Source feeds a pre-materialized record stream into the fabric at one
-// vector per cycle, then signals end-of-stream.
+// Source feeds a record stream into the fabric at one dense vector per
+// cycle, then signals end-of-stream. The records come from a caller's
+// slice or, for streams too large to be worth materializing, from a
+// generator called once per record.
 type Source struct {
 	name   string
 	out    *sim.Link
-	vecs   []record.Vector
+	recs   []record.Rec
+	gen    func(i int) record.Rec
+	n      int // records in the stream
 	pos    int
 	eos    bool
 	schema *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
 }
 
-// NewSource builds a source from records (vectorized densely).
+// NewSource builds a source that streams recs, NumLanes records per
+// vector, straight from the caller's slice: nothing is copied up front, so
+// the caller must not modify recs until the run ends.
 func NewSource(name string, recs []record.Rec, out *sim.Link) *Source {
-	return &Source{name: name, out: out, vecs: record.Vectorize(recs)}
+	return &Source{name: name, out: out, recs: recs, n: len(recs)}
+}
+
+// NewSourceFunc builds a source that streams the n records gen(0) …
+// gen(n-1), NumLanes per vector, calling gen as each vector is staged, so
+// the stream is never materialized.
+func NewSourceFunc(name string, n int, gen func(i int) record.Rec, out *sim.Link) *Source {
+	return &Source{name: name, out: out, gen: gen, n: n}
 }
 
 // Name implements sim.Component.
@@ -45,11 +58,20 @@ func (s *Source) Tick(cycle int64) {
 	if s.eos || !s.out.CanPush() {
 		return
 	}
-	if s.pos < len(s.vecs) {
-		// StageVec writes the vector straight into the ring slot — one copy
-		// instead of composing a Flit on the stack and copying it again.
-		*s.out.StageVec(cycle) = s.vecs[s.pos]
-		s.pos++
+	if s.pos < s.n {
+		// StageVec hands out the ring slot, and the records are copied
+		// straight into its lanes.
+		v := s.out.StageVec(cycle)
+		n := min(record.NumLanes, s.n-s.pos)
+		if s.gen == nil {
+			copy(v.Lane[:], s.recs[s.pos:s.pos+n])
+		} else {
+			for i := range n {
+				v.Lane[i] = s.gen(s.pos + i)
+			}
+		}
+		v.Mask = uint16(1<<uint(n) - 1)
+		s.pos += n
 		return
 	}
 	s.out.PushEOS(cycle)
@@ -58,11 +80,13 @@ func (s *Source) Tick(cycle int64) {
 
 // Sink collects a stream's records and observes its end.
 type Sink struct {
-	name   string
-	in     *sim.Link
-	recs   []record.Rec
-	eos    bool
-	schema *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
+	name    string
+	in      *sim.Link
+	recs    []record.Rec
+	discard bool
+	dropped int // records a discarding sink counted without keeping
+	eos     bool
+	schema  *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
 }
 
 // NewSink builds a sink on the given link.
@@ -94,8 +118,20 @@ func (s *Sink) Tick(cycle int64) {
 			s.eos = true
 			return
 		}
+		if s.discard {
+			s.dropped += f.Vec.Count()
+			continue
+		}
 		s.recs = f.Vec.AppendRecords(s.recs)
 	}
+}
+
+// Discard makes the sink count the records it receives without keeping
+// them, for a kernel that needs only the completion count. It returns the
+// sink for call chaining.
+func (s *Sink) Discard() *Sink {
+	s.discard = true
+	return s
 }
 
 // Reserve makes room for n more records, so a sink whose record count is
@@ -106,11 +142,12 @@ func (s *Sink) Reserve(n int) *Sink {
 	return s
 }
 
-// Records returns everything collected so far.
+// Records returns everything collected so far: nothing for a discarding
+// sink.
 func (s *Sink) Records() []record.Rec { return s.recs }
 
-// Count returns the number of records collected.
-func (s *Sink) Count() int { return len(s.recs) }
+// Count returns the number of records received, kept or discarded.
+func (s *Sink) Count() int { return len(s.recs) + s.dropped }
 
 // Map is a compute tile statically configured with a per-record function:
 // one vector per cycle through a PipelineDepth-stage datapath. The function

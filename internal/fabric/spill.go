@@ -46,6 +46,9 @@ type SpillQueue struct {
 
 	scratch []record.Rec // reused staging for one input vector's records
 	wdata   []uint32     // reused write payload (consumed synchronously by SubmitAt)
+	// batch holds the records of the refill in flight (there is at most
+	// one); its backing array is reused by every refill.
+	batch []record.Rec
 
 	refillCnt, spillCnt *sim.Counter
 }
@@ -129,20 +132,11 @@ func (s *SpillQueue) Tick(cycle int64) {
 		// SubmitAt refuses it forever.
 		fit := (s.queueWords - int(addr)%s.burstWords) / s.recWords
 		n := min(len(s.spilled), 64, max(fit, 1))
-		// One batch copy and one closure per refill of up to 64 records,
-		// amortized over the DRAM round trip; the copy must escape into the
-		// callback because s.spilled is resliced as soon as the submit lands.
-		batch := append([]record.Rec(nil), s.spilled[:n]...) // lint:hotalloc-ok per-refill batch copy, amortized over the DRAM round trip
+		// The batch is copied out because s.spilled is resliced as soon as
+		// the submit lands.
+		s.batch = append(s.batch[:0], s.spilled[:n]...) // lint:hotalloc-ok reused refill buffer, grows only until it covers a 64-record batch
 		words := n * s.recWords
-		ok := s.h.SubmitAt(cycle, dram.Request{
-			Addr: addr, Words: words,
-			Done: func([]uint32) { // lint:hotalloc-ok per-refill closure, amortized over the DRAM round trip
-				for _, r := range batch {
-					*s.front.PushRef() = r
-				}
-				s.refill = 0
-			},
-		})
+		ok := s.h.SubmitAt(cycle, dram.Request{Addr: addr, Words: words, To: s})
 		if ok {
 			s.refill = n
 			s.spilled = s.spilled[n:]
@@ -194,6 +188,15 @@ func (s *SpillQueue) Tick(cycle int64) {
 		s.Spills += int64(len(recs))
 		s.spillCnt.Add(int64(len(recs)))
 	}
+}
+
+// Complete implements dram.Completer: the refill in flight has arrived,
+// and its records join the on-chip segment.
+func (s *SpillQueue) Complete(int32, []uint32) {
+	for i := range s.batch {
+		*s.front.PushRef() = s.batch[i] // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
+	}
+	s.refill = 0 // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
 }
 
 // spillRingWords bounds the DRAM footprint of a spill ring; addresses wrap.

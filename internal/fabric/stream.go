@@ -26,13 +26,26 @@ type DRAMScan struct {
 	chunks      []Extent // extents chopped to queue-friendly requests
 	next        int
 	outstanding int
-	completed   map[int][]uint32 // chunk seq -> data, awaiting in-order append
-	appendNext  int
-	buf         []uint32
-	bufHead     int // consumed prefix of buf; compacted, never resliced away
-	eos         bool
-	schema      *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
+	// held is a ring of chunks that completed ahead of appendNext, each
+	// copied into a buffer its ring entry owns; the chunk with sequence
+	// number seq sits at (heldHead + seq - appendNext) mod len(held).
+	held       []heldChunk
+	heldHead   int
+	appendNext int
+	buf        []uint32
+	bufHead    int // consumed prefix of buf; compacted, never resliced away
+	eos        bool
+	schema     *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
 }
+
+// heldChunk is one entry of DRAMScan's reorder ring.
+type heldChunk struct {
+	data []uint32
+	ok   bool
+}
+
+// scanWindow is the most chunk reads a DRAMScan keeps in flight.
+const scanWindow = 8
 
 // scanChunkWords bounds one DRAM request from a scan: small enough that a
 // request always fits the channel queues, large enough to stay row-buffer
@@ -48,7 +61,7 @@ func NewDRAMScan(g *Graph, name string, extents []Extent, recWords int, out *sim
 		panic("fabric: scan recWords out of range")
 	}
 	s := &DRAMScan{name: name, h: g.HBM, extents: extents, recWords: recWords, out: out,
-		completed: make(map[int][]uint32)}
+		held: make([]heldChunk, scanWindow)}
 	for _, e := range extents {
 		for off := 0; off < e.Words; off += scanChunkWords {
 			n := e.Words - off
@@ -76,7 +89,7 @@ func (s *DRAMScan) buffered() int { return len(s.buf) - s.bufHead }
 
 // Idle implements sim.Idler: mirrors Tick's issue/emit/EOS conditions.
 func (s *DRAMScan) Idle(int64) bool {
-	if s.next < len(s.chunks) && s.outstanding < 8 && s.buffered() < 4096 {
+	if s.next < len(s.chunks) && s.outstanding < scanWindow && s.buffered() < 4096 {
 		return false
 	}
 	if s.buffered() >= s.recWords && s.out.CanPush() {
@@ -101,21 +114,9 @@ func (s *DRAMScan) Tick(cycle int64) {
 	// Issue chunk reads while the reorder window has room. Completions
 	// may arrive out of order across channels; they append to the stream
 	// strictly in sequence.
-	for s.next < len(s.chunks) && s.outstanding < 8 && s.buffered() < 4096 {
+	for s.next < len(s.chunks) && s.outstanding < scanWindow && s.buffered() < 4096 {
 		ext := s.chunks[s.next]
-		seq := s.next
-		if !s.h.SubmitAt(cycle, dram.Request{Addr: ext.Addr, Words: ext.Words, Done: func(data []uint32) { // lint:hotalloc-ok per-chunk closure, amortized over the DRAM round trip
-			s.outstanding--
-			// The reorder window holds at most 8 chunks; map buckets are
-			// reused after delete, and buf is compacted below so its
-			// capacity is reused once it reaches steady state.
-			s.completed[seq] = data // lint:hotalloc-ok bounded reorder window, buckets reused after delete
-			for d, ok := s.completed[s.appendNext]; ok; d, ok = s.completed[s.appendNext] {
-				s.buf = append(s.buf, d...) // lint:hotalloc-ok warmup growth, buf compacted and reused at steady state
-				delete(s.completed, s.appendNext)
-				s.appendNext++
-			}
-		}}) {
+		if !s.h.SubmitAt(cycle, dram.Request{Addr: ext.Addr, Words: ext.Words, To: s, Tag: int32(s.next)}) {
 			break
 		}
 		s.next++
@@ -146,6 +147,48 @@ func (s *DRAMScan) Tick(cycle int64) {
 		s.out.PushEOS(cycle)
 		s.eos = true
 	}
+}
+
+// Complete implements dram.Completer for chunk seq tag. The chunk at the
+// head of the stream appends straight to buf, followed by every held chunk
+// it unblocks; a chunk that completes ahead of the head is copied into the
+// reorder ring. buf and the ring buffers are compacted and reused, so both
+// stop growing once they cover the window.
+func (s *DRAMScan) Complete(tag int32, data []uint32) {
+	s.outstanding-- // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
+	if off := int(tag) - s.appendNext; off > 0 {
+		if off >= len(s.held) {
+			s.growHeld(off + 1)
+		}
+		c := &s.held[(s.heldHead+off)%len(s.held)]
+		c.data = append(c.data[:0], data...) // lint:hotalloc-ok warmup growth, each ring buffer is reused once it covers a chunk
+		c.ok = true
+		return
+	}
+	s.buf = append(s.buf, data...) // lint:hotalloc-ok warmup growth, buf compacted and reused at steady state; lint:wakeprop-ok fires inside the HBM partner's tick
+	for {
+		s.appendNext++
+		s.heldHead = (s.heldHead + 1) % len(s.held)
+		c := &s.held[s.heldHead]
+		if !c.ok {
+			return
+		}
+		s.buf = append(s.buf, c.data...) // lint:hotalloc-ok warmup growth, buf compacted and reused at steady state; lint:wakeprop-ok fires inside the HBM partner's tick
+		c.ok = false
+	}
+}
+
+// growHeld widens the reorder ring to at least n entries, keeping each
+// held chunk at its offset from the head.
+//
+// lint:hotalloc-ok — chunks complete at most a few DRAM latencies out of
+// order, so the ring stops growing after the first such stretch.
+func (s *DRAMScan) growHeld(n int) {
+	held := make([]heldChunk, max(n, 2*len(s.held)))
+	for i := range s.held {
+		held[i] = s.held[(s.heldHead+i)%len(s.held)]
+	}
+	s.held, s.heldHead = held, 0
 }
 
 // DRAMAppend materializes a record stream densely into DRAM starting at
@@ -186,6 +229,12 @@ func (a *DRAMAppend) InputLinks() []*sim.Link { return []*sim.Link{a.in} }
 
 // Done implements sim.Component.
 func (a *DRAMAppend) Done() bool { return a.eos }
+
+// Complete implements dram.Completer: a posted write is acknowledged inside
+// SubmitAt.
+func (a *DRAMAppend) Complete(int32, []uint32) {
+	a.outstanding-- // lint:wakeprop-ok fires inside SubmitAt, called from this node's own tick
+}
 
 // Count returns the records written.
 func (a *DRAMAppend) Count() int { return a.count }
@@ -249,8 +298,7 @@ func (a *DRAMAppend) Tick(cycle int64) {
 			n = chunk
 		}
 		if !a.h.SubmitAt(cycle, dram.Request{
-			Addr: a.base + a.written, Words: n, Write: true, Data: a.buf[head : head+n],
-			Done: func([]uint32) { a.outstanding-- }, // lint:hotalloc-ok per-chunk closure, amortized over the 256-word flush
+			Addr: a.base + a.written, Words: n, Write: true, Data: a.buf[head : head+n], To: a,
 		}) {
 			break
 		}

@@ -207,10 +207,9 @@ func TestDRAMExpandSpawnsChildren(t *testing.T) {
 	}
 	g.Add(NewSource("src", recs, in))
 	NewDRAMExpand(g, "exp", []Leg{{Width: 1, Addr: func(r record.Rec) uint32 { return r.Get(0) }}},
-		func(r record.Rec, blocks [][]uint32) []record.Rec {
-			out := make([]record.Rec, blocks[0][0])
-			for i := range out {
-				out[i] = r.Append(uint32(i))
+		func(r record.Rec, blocks [][]uint32, out []record.Rec) []record.Rec {
+			for i := uint32(0); i < blocks[0][0]; i++ {
+				out = append(out, r.Append(i))
 			}
 			return out
 		}, nil, in, out)

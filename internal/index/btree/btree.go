@@ -54,12 +54,11 @@ func (t *Tree) NodeAddr(idx uint32) uint32 {
 func (t *Tree) WordsUsed() uint32 { return t.Nodes * NodeWords }
 
 // Build bulk-loads items into a new tree at base. Items are sorted by key
-// in place if not already sorted; duplicate keys are allowed. An empty
+// in place if not already sorted; duplicate keys are allowed, and the sort
+// is stable, so entries with equal keys keep their input order. An empty
 // items slice yields a valid empty tree.
 func Build(h *dram.HBM, base uint32, items []KV) *Tree {
-	if !sort.SliceIsSorted(items, func(i, j int) bool { return items[i].Key < items[j].Key }) {
-		sort.Slice(items, func(i, j int) bool { return items[i].Key < items[j].Key })
-	}
+	sortByKey(items)
 	t := &Tree{HBM: h, Base: base, Len: len(items)}
 	if len(items) == 0 {
 		// A single empty leaf keeps readers branch-free.
@@ -130,6 +129,46 @@ func Build(h *dram.HBM, base uint32, items []KV) *Tree {
 	t.Root = level[0]
 	t.Nodes = next
 	return t
+}
+
+// sortByKey sorts items by Key with a stable least-significant-digit radix
+// sort: four counting passes of one byte each, skipping any byte on which
+// every key agrees. Already sorted input is left untouched.
+func sortByKey(items []KV) {
+	sorted := true
+	for i := 1; i < len(items); i++ {
+		if items[i].Key < items[i-1].Key {
+			sorted = false
+			break
+		}
+	}
+	if sorted {
+		return
+	}
+	src, dst := items, make([]KV, len(items))
+	for shift := 0; shift < 32; shift += 8 {
+		var count [256]int
+		for _, kv := range src {
+			count[kv.Key>>shift&0xff]++
+		}
+		if count[src[0].Key>>shift&0xff] == len(src) {
+			continue // every key has this byte: the pass would not move anything
+		}
+		pos := 0
+		for b, c := range count {
+			count[b] = pos
+			pos += c
+		}
+		for _, kv := range src {
+			b := kv.Key >> shift & 0xff
+			dst[count[b]] = kv
+			count[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &items[0] {
+		copy(items, src)
+	}
 }
 
 // node reads a node functionally.

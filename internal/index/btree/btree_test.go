@@ -143,3 +143,48 @@ func TestItemsRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// Duplicate runs far longer than a node: every (key, val) must still be
+// found, and the stable sort keeps equal keys in input order, so each
+// key's values come back in the order they were given.
+func TestBuildDuplicateHeavy(t *testing.T) {
+	for _, keyMod := range []uint32{1, 3, 7, 50} {
+		tr, items := buildRandom(t, 6000, keyMod, int64(keyMod))
+		want := map[uint32][]uint32{}
+		for _, kv := range items {
+			want[kv.Key] = append(want[kv.Key], kv.Val)
+		}
+		for k, vs := range want {
+			got := tr.Lookup(k)
+			if len(got) != len(vs) {
+				t.Fatalf("keyMod %d, key %d: %d values, want %d", keyMod, k, len(got), len(vs))
+			}
+			for i := range vs {
+				if got[i] != vs[i] {
+					t.Fatalf("keyMod %d, key %d: value %d is %d, want %d (input order)", keyMod, k, i, got[i], vs[i])
+				}
+			}
+		}
+		if all := tr.Range(0, ^uint32(0)); len(all) != len(items) {
+			t.Fatalf("keyMod %d: full range found %d of %d entries", keyMod, len(all), len(items))
+		}
+	}
+}
+
+// sortByKey is a stable sort on every key width, including keys that
+// differ only in their high bytes.
+func TestSortByKeyStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	items := make([]KV, 20000)
+	for i := range items {
+		items[i] = KV{Key: rng.Uint32() & 0xff0000ff, Val: uint32(i)}
+	}
+	want := append([]KV(nil), items...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Key < want[j].Key })
+	sortByKey(items)
+	for i := range want {
+		if items[i] != want[i] {
+			t.Fatalf("entry %d: %v, want %v", i, items[i], want[i])
+		}
+	}
+}

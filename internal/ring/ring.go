@@ -5,7 +5,8 @@
 // every wrap-around and was one of the dominant allocation sources in the
 // cycle loop. A Queue reuses its storage forever — steady-state push/pop is
 // allocation-free — while keeping strict FIFO order, so swapping it in is
-// behavior-preserving.
+// behavior-preserving. Slots, the package's slot arena, does the same for
+// components' in-flight request state.
 package ring
 
 import "reflect"

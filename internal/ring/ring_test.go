@@ -215,3 +215,29 @@ func TestDropClearsPointers(t *testing.T) {
 		t.Fatalf("reused slot pop=%d want 7", got)
 	}
 }
+
+func TestSlotsReuseAndStayPut(t *testing.T) {
+	var a Slots[[]int]
+	x, y := a.Alloc(), a.Alloc()
+	*a.At(x) = append(*a.At(x), 1, 2, 3)
+	a.Release(x)
+	if z := a.Alloc(); z != x {
+		t.Fatalf("Alloc after Release(%d) = %d, want the released slot", x, z)
+	}
+	if got := *a.At(x); len(got) != 3 {
+		t.Fatalf("reused slot lost its contents: %v", got)
+	}
+	a.Release(x)
+	a.Release(y)
+	allocs := testing.AllocsPerRun(100, func() {
+		i, j := a.Alloc(), a.Alloc()
+		if i > 1 || j > 1 {
+			t.Fatalf("slots %d and %d handed out with two free; the arena grew", i, j)
+		}
+		a.Release(j)
+		a.Release(i)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady state: %.1f allocs/op; want 0", allocs)
+	}
+}

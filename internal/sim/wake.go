@@ -71,14 +71,15 @@ type WakeHinter interface {
 const WakeNever = int64(math.MaxInt64)
 
 // CallbackHost marks components whose Tick executes completion callbacks
-// registered by *other* components — a memory model firing Done closures is
-// the canonical case. A callback runs a fragment of its owner's logic, so
-// its mutations can reach any state the owner declares shared — state the
-// host itself never declared. The scheduler therefore widens a host's
-// tick-wake set by one hop: its partners' partners are woken too. One hop
-// suffices because a callback owner must be a direct partner of its host
-// (it shares the resource that fires the callback) and the sharedstate
-// analyzer confines a component's mutations to its declared keys.
+// registered by *other* components — a memory model calling each
+// requester's Complete is the canonical case. A callback runs a fragment
+// of its owner's logic, so its mutations can reach any state the owner
+// declares shared — state the host itself never declared. The scheduler
+// therefore widens a host's tick-wake set by one hop: its partners'
+// partners are woken too. One hop suffices because a callback owner must
+// be a direct partner of its host (it shares the resource that fires the
+// callback) and the sharedstate analyzer confines a component's mutations
+// to its declared keys.
 type CallbackHost interface {
 	HostsCallbacks()
 }
@@ -360,7 +361,7 @@ func (sc *scheduler) buildPartnerTables() {
 	for i := range sc.partners {
 		sc.partners[i] = dedupSorted(sc.partners[i])
 	}
-	// A callback host's tick can run partner-owned closures whose mutations
+	// A callback host's tick can run partner-owned callbacks whose mutations
 	// reach the owners' shared keys: widen its wake set to partners'
 	// partners (see CallbackHost).
 	for i, c := range s.comps {
